@@ -33,6 +33,10 @@ EXIT_HARD_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 
+
+class SettingError(ValueError):
+    """An environment setting is malformed."""
+
 _FAMILY_HELP = [
     ("path(n)", "vertices 0..n-1 in path order (n >= 1)"),
     ("cycle(n)", "cyclic order 0..n-1, closing (n-1, 0) (n >= 3)"),
@@ -78,9 +82,17 @@ def _load_graph(args) -> Graph:
     return parse_graph_dsl(args.graph)
 
 
-def _default_budget() -> int:
+def _budget(args) -> int:
+    """``--budget`` if given, else ``ZF_BUDGET``, else the default."""
+    if args.budget is not None:
+        return args.budget
     env = os.environ.get("ZF_BUDGET")
-    return int(env) if env else DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        return int(env)
+    except ValueError:
+        raise SettingError(f"ZF_BUDGET must be an integer, got {env!r}") from None
 
 
 def _add_graph_input(sub):
@@ -118,7 +130,7 @@ def _report_table(rep) -> str:
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args)
-    limits = SolverLimits(max_closures=args.budget)
+    limits = SolverLimits(max_closures=_budget(args))
     rep = solve_report(g, limits=limits, jobs=args.jobs)
     if args.format == "table":
         _emit(_report_table(rep), args.out)
@@ -152,7 +164,7 @@ def _cmd_trace(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args)
-    limits = SolverLimits(max_closures=args.budget)
+    limits = SolverLimits(max_closures=_budget(args))
     connected = args.min_czfs or args.connected
     if connected:
         k, _ = connected_zero_forcing_number(g, limits)
@@ -197,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute all parameters of a graph")
     _add_graph_input(p)
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(fn=_cmd_compute)
@@ -213,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-zfs", action="store_true")
     p.add_argument("--min-czfs", action="store_true")
     p.add_argument("--connected", action="store_true", help="same as --min-czfs")
-    p.add_argument("--budget", type=int, default=_default_budget())
+    p.add_argument("--budget", type=int)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="machine-check the bundled claims")
@@ -237,7 +249,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ParseError, GraphError) as exc:
+    except (ParseError, GraphError, SettingError) as exc:
         return _fail(type(exc).__name__, str(exc))
     except OSError as exc:
         return _fail("IOError", str(exc))

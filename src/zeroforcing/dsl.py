@@ -77,8 +77,14 @@ _SINGLE_INT = {
 }
 
 
-def _parse_term(sc: _Scanner):
+# deeper terms would exhaust the interpreter stack before any graph is built
+MAX_DEPTH = 200
+
+
+def _parse_term(sc: _Scanner, depth: int = 0):
     at = sc.pos
+    if depth > MAX_DEPTH:
+        raise ParseError(f"terms nest deeper than {MAX_DEPTH}", at)
     name = sc.name().lower()
     sc.expect("(")
     if name in _SINGLE_INT:
@@ -93,26 +99,26 @@ def _parse_term(sc: _Scanner):
         sc.expect(")")
         return families.complete_multipartite(sizes)
     if name in ("cartesian", "strong", "corona"):
-        a = _parse_term(sc)
+        a = _parse_term(sc, depth + 1)
         sc.expect(",")
-        b = _parse_term(sc)
+        b = _parse_term(sc, depth + 1)
         sc.expect(")")
         return getattr(families, name)(a, b)
     if name == "gencorona":
-        base = _parse_term(sc)
+        base = _parse_term(sc, depth + 1)
         sc.expect(";")
-        hs = [_parse_term(sc)]
+        hs = [_parse_term(sc, depth + 1)]
         while sc.peek() == ",":
             sc.expect(",")
-            hs.append(_parse_term(sc))
+            hs.append(_parse_term(sc, depth + 1))
         sc.expect(")")
         return families.generalized_corona(base, hs)
     if name == "vsum":
-        a = _parse_term(sc)
+        a = _parse_term(sc, depth + 1)
         sc.expect(",")
         v = sc.integer()
         sc.expect(",")
-        b = _parse_term(sc)
+        b = _parse_term(sc, depth + 1)
         sc.expect(",")
         w = sc.integer()
         sc.expect(")")

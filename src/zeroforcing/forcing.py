@@ -57,20 +57,73 @@ def _round_forces(adj, black: int):
 def _propagation_steps(adj, full: int, black: int) -> int | None:
     """Number of simultaneous rounds to blacken everything, or None if stuck."""
     steps = 0
+    todo = black
     while black != full:
-        add = 0
-        todo = black
+        add = near = 0
         while todo:
             ubit = todo & -todo
             todo ^= ubit
             white = adj[ubit.bit_length() - 1] & ~black
             if white and not white & (white - 1):
                 add |= white
+                near |= adj[white.bit_length() - 1]
         if not add:
             return None
         black |= add
         steps += 1
+        # only a vertex whose closed neighborhood just changed can force next
+        todo = (add | near) & black
     return steps
+
+
+def _batch_rounds(nbrs, cols: list[int], ones: int) -> list[int]:
+    """Simultaneous rounds on many colorings at once (bit-sliced).
+
+    ``nbrs[v]`` lists the neighbors of v; bit j of ``cols[v]`` says v is
+    black in coloring j, for the colorings j whose bits are set in ``ones``.
+    Returns ``done`` where ``done[t]`` holds the colorings that turn all
+    black after exactly t rounds; a coloring in no entry gets stuck.  The
+    list stops at its last nonempty entry, so ``done[-1]`` is nonzero iff
+    some coloring forces.  ``cols`` is consumed.
+    """
+    n = len(cols)
+    white = [ones ^ c for c in cols]
+    pending = 0
+    for w in white:
+        pending |= w
+    done = [ones & ~pending]
+    while pending:
+        add = [0] * n
+        for u in range(n):
+            bu = cols[u] & pending
+            if not bu:
+                continue
+            # saturating count of white neighbors: at least one, at least two
+            one = two = 0
+            for w in nbrs[u]:
+                x = white[w]
+                two |= one & x
+                one |= x
+            force = bu & one & ~two
+            if force:
+                for w in nbrs[u]:
+                    add[w] |= force & white[w]
+        moved = 0
+        for v in range(n):
+            a = add[v]
+            if a:
+                cols[v] |= a
+                white[v] ^= a
+                moved |= a
+        still = 0
+        for w in white:
+            still |= w
+        done.append(pending & ~still)
+        # a coloring that gained nothing this round is at its fixpoint
+        pending = still & moved
+    while len(done) > 1 and not done[-1]:
+        done.pop()
+    return done
 
 
 def forces_one_round(g: Graph, black: int) -> list[tuple[int, int]]:

@@ -2,8 +2,11 @@
 
 Candidates are scanned in increasing size; within a size level masks are
 tested in lexicographic order of their sorted vertex tuples, which makes
-every witness and count reproducible.  Connected candidates come from a
-seed-and-frontier enumeration that emits each connected set exactly once.
+every witness and count reproducible.  All k-sets of a level are closed
+in runs of up to ``_LEVEL_WIDTH`` sets per call of the bit-sliced kernel,
+which also yields every set's propagation time.  Connected candidates come
+from a seed-and-frontier enumeration that emits each connected set exactly
+once, and are closed one at a time.
 
 Work is metered in candidate evaluations (one closure per candidate, one
 per propagation-time measurement).  Charging follows the deterministic
@@ -15,13 +18,19 @@ from __future__ import annotations
 
 import multiprocessing as mp
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 
-from .forcing import _closure, _propagation_steps
-from .graphs import Graph, components, vertices_of
+from .forcing import _batch_rounds, _closure, _propagation_steps
+from .graphs import Graph, components, mask_of, vertices_of
 
 DEFAULT_BUDGET = 10**8
 _CHUNK = 4096
+# sets per bit-sliced kernel call in the all-k-sets stream
+_LEVEL_WIDTH = 16384
+# levels this small skip the kernel and evaluate set by set
+_SCALAR_LEVEL = 20
 
 
 @dataclass(frozen=True)
@@ -52,8 +61,9 @@ class _Meter:
         self.used = 0
         self.note = ""
 
-    def charge(self):
-        self.used += 1
+    def charge(self, count: int = 1):
+        """Charge ``count`` evaluations, as that many single charges would."""
+        self.used += count
         if self.used > self.limit:
             self.used = self.limit
             raise BudgetExceeded(
@@ -62,14 +72,109 @@ class _Meter:
             )
 
 
-def _combo_masks(n: int, k: int) -> list[int]:
-    out = []
-    for combo in combinations(range(n), k):
-        m = 0
-        for v in combo:
-            m |= 1 << v
-        out.append(m)
+def _level_runs(n: int, k: int, width: int):
+    """Cover the k-subsets of range(n), in lexicographic order, by runs.
+
+    A run ``(prefix, start, r, count)`` is the first ``count`` r-subsets of
+    range(start, n), each joined with the prefix mask: a union of whole
+    adjacent prefix subtrees, at most ``width`` sets wide.
+    """
+
+    def walk(prefix, s, r):
+        if comb(n - s, r) <= width:
+            yield prefix, s, r, comb(n - s, r)
+            return
+        x = s
+        while comb(n - x - 1, r - 1) > width:
+            yield from walk(prefix | 1 << x, x + 1, r - 1)
+            x += 1
+        while x <= n - r:
+            start, count = x, 0
+            while x <= n - r and count + comb(n - x - 1, r - 1) <= width:
+                count += comb(n - x - 1, r - 1)
+                x += 1
+            yield prefix, start, r, count
+
+    return walk(0, 0, k)
+
+
+@lru_cache(maxsize=1024)
+def _pascal_row(n: int, r: int, s: int, width: int) -> tuple[int, ...]:
+    """Bit-sliced first ``width`` r-subsets of range(s, n), lexicographic.
+
+    Entry v - s has bit j set when vertex v lies in the j-th subset.  The
+    subsets that take s come first, then those that skip it.
+    """
+    if r == 0:
+        return (0,) * (n - s)
+    taking = comb(n - s - 1, r - 1)
+    head = _pascal_row(n, r - 1, s + 1, width)
+    first = (1 << min(taking, width)) - 1
+    if taking >= width or n - s - 1 < r:
+        return (first,) + head
+    keep = (1 << width) - 1
+    tail = _pascal_row(n, r, s + 1, width)
+    return (first,) + tuple((h | t << taking) & keep for h, t in zip(head, tail))
+
+
+@lru_cache(maxsize=256)
+def _small_level(n: int, k: int) -> tuple[int, ...]:
+    """Masks of a small level, lexicographic; shared by every graph of order n."""
+    return tuple(mask_of(c) for c in combinations(range(n), k))
+
+
+def _unrank(n: int, run, j: int) -> int:
+    """Mask of the j-th set of a run."""
+    mask, x, r, _ = run
+    while r:
+        c = comb(n - x - 1, r - 1)
+        if j < c:
+            mask |= 1 << x
+            r -= 1
+        else:
+            j -= c
+        x += 1
+    return mask
+
+
+def _level_stream(g: Graph, k: int):
+    """Yield ``(run, done)`` for each run of level k, in stream order.
+
+    ``done`` is the per-round finished bitmap of ``_batch_rounds``: bit j
+    of ``done[t]`` says the run's j-th set forces g in exactly t rounds.
+    """
+    n = g.n
+    if comb(n, k) <= _SCALAR_LEVEL:
+        # a kernel call costs more than these few sets: fill done set by set
+        adj, full = g.adj, g.full_mask
+        masks = _small_level(n, k)
+        done = [0]
+        for j, m in enumerate(masks):
+            if _closure(adj, full, m) == full:
+                t = _propagation_steps(adj, full, m)
+                done.extend([0] * (t + 1 - len(done)))
+                done[t] |= 1 << j
+        yield (0, 0, k, len(masks)), done
+        return
+    nbrs = [vertices_of(a) for a in g.adj]
+    for run in _level_runs(n, k, _LEVEL_WIDTH):
+        prefix, s, r, count = run
+        ones = (1 << count) - 1
+        cols = [0] * s + [c & ones for c in _pascal_row(n, r, s, _LEVEL_WIDTH)]
+        for v in vertices_of(prefix):
+            cols[v] = ones
+        yield run, _batch_rounds(nbrs, cols, ones)
+
+
+def _hits(done: list[int]) -> int:
+    out = 0
+    for d in done:
+        out |= d
     return out
+
+
+def _lowest(bits: int) -> int:
+    return (bits & -bits).bit_length() - 1
 
 
 def _zfs_chunk(args):
@@ -199,13 +304,14 @@ def zero_forcing_number(g: Graph, limits: SolverLimits | None = None) -> tuple[i
     least witness mask."""
     meter = _Meter(limits)
     meter.note = "zero forcing number"
-    adj, full = g.adj, g.full_mask
     for k in range(_zfs_lower_bound(g), g.n + 1):
         try:
-            for m in _combo_masks(g.n, k):
-                meter.charge()
-                if _closure(adj, full, m) == full:
-                    return k, m
+            for run, done in _level_stream(g, k):
+                if done[-1]:
+                    first = _lowest(_hits(done))
+                    meter.charge(first + 1)
+                    return k, _unrank(g.n, run, first)
+                meter.charge(run[3])
         except BudgetExceeded as exc:
             exc.best_known["z_lower_bound"] = k
             raise
@@ -240,10 +346,12 @@ def enumerate_min_zfs(g: Graph, k: int, limits: SolverLimits | None = None):
     z, _ = zero_forcing_number(g, limits)
     if k != z:
         raise WrongSize(f"minimum zero forcing sets have size {z}, not {k}")
-    adj, full = g.adj, g.full_mask
-    for m in _combo_masks(g.n, k):
-        if _closure(adj, full, m) == full:
-            yield m
+    for run, done in _level_stream(g, k):
+        hits = _hits(done)
+        while hits:
+            low = hits & -hits
+            hits ^= low
+            yield _unrank(g.n, run, low.bit_length() - 1)
 
 
 def enumerate_min_czfs(g: Graph, k: int, limits: SolverLimits | None = None):
@@ -298,12 +406,21 @@ class SolveReport:
     budget_exceeded: bool
 
     def __post_init__(self):
-        if self.z is not None and self.z_c is not None:
-            assert self.z <= self.z_c
+        # explicit checks, not asserts: they must also hold under python -O
+        if self.z is not None and self.z_c is not None and not self.z <= self.z_c:
+            raise ValueError(f"z = {self.z} exceeds z_c = {self.z_c}")
         if self.pt_min is not None and self.pt_max is not None:
-            assert self.pt_min <= self.pt_max <= self.n - self.z
+            if not self.pt_min <= self.pt_max <= self.n - self.z:
+                raise ValueError(
+                    f"need pt <= PT <= n - z, got {self.pt_min}, {self.pt_max}, "
+                    f"{self.n} - {self.z}"
+                )
         if self.ptc_min is not None and self.ptc_max is not None:
-            assert self.ptc_min <= self.ptc_max <= self.n - self.z_c
+            if not self.ptc_min <= self.ptc_max <= self.n - self.z_c:
+                raise ValueError(
+                    f"need pt_c <= PT_c <= n - z_c, got {self.ptc_min}, {self.ptc_max}, "
+                    f"{self.n} - {self.z_c}"
+                )
 
     def to_json_dict(self) -> dict:
         def wit(key):
@@ -335,9 +452,23 @@ class SolveReport:
         }
 
 
-def _find_min_level(g, level_masks_fn, meter, pool, start):
+def _min_zfs_level(g: Graph, meter: _Meter):
+    """Drain every level up to Z; returns Z and the ``(run, done)`` pairs
+    of level Z that hold a zero forcing set.  Charges one per set."""
+    for k in range(_zfs_lower_bound(g), g.n + 1):
+        found = []
+        for run, done in _level_stream(g, k):
+            meter.charge(run[3])
+            if done[-1]:
+                found.append((run, done))
+        if found:
+            return k, found
+    raise AssertionError("the full vertex set always forces")
+
+
+def _min_czfs_level(g: Graph, meter: _Meter, pool, start: int):
     for k in range(start, g.n + 1):
-        hits = _scan_masks(g, level_masks_fn(k), meter, pool)
+        hits = _scan_masks(g, connected_in_components_sets(g, k), meter, pool)
         if hits:
             return k, hits
     raise AssertionError("the full vertex set always forces")
@@ -359,9 +490,9 @@ def solve_report(
 ) -> SolveReport:
     """Compute Z, Z_c, and all four propagation-time extrema with witnesses.
 
-    ``jobs`` > 1 evaluates candidate chunks in worker processes; chunk
-    results are reduced in stream order, so the report is byte-identical
-    to a single-process run.
+    ``jobs`` > 1 evaluates the connected candidates in worker processes;
+    chunk results are reduced in stream order, so the report is
+    byte-identical to a single-process run.
     """
     meter = _Meter(limits)
     fields = {
@@ -382,23 +513,32 @@ def solve_report(
             pool = mp.get_context("fork").Pool(jobs)
         try:
             meter.note = "zero forcing number"
-            z, z_hits = _find_min_level(
-                g, lambda k: _combo_masks(g.n, k), meter, pool, _zfs_lower_bound(g)
-            )
+            z, found = _min_zfs_level(g, meter)
+            count = 0
+            tmin = tmax = None
+            for run, done in found:
+                count += _hits(done).bit_count()
+                first = 0
+                while not done[first]:
+                    first += 1
+                if tmin is None or first < tmin:
+                    tmin, at_min = first, (run, done[first])
+                if tmax is None or len(done) - 1 > tmax:
+                    tmax, at_max = len(done) - 1, (run, done[-1])
             fields["z"] = z
-            fields["min_zfs_count"] = len(z_hits)
-            witnesses["z"] = z_hits[0]
+            fields["min_zfs_count"] = count
+            run, done = found[0]
+            witnesses["z"] = _unrank(g.n, run, _lowest(_hits(done)))
 
+            # pt of every minimum set came with its closure; charge one each
             meter.note = "propagation extrema"
-            pts = _measure_pts(g, z_hits, meter, pool)
-            tmin, wmin, tmax, wmax = _extrema(z_hits, pts)
+            meter.charge(count)
             fields["pt_min"], fields["pt_max"] = tmin, tmax
-            witnesses["pt"], witnesses["PT"] = wmin, wmax
+            witnesses["pt"] = _unrank(g.n, at_min[0], _lowest(at_min[1]))
+            witnesses["PT"] = _unrank(g.n, at_max[0], _lowest(at_max[1]))
 
             meter.note = "connected zero forcing number"
-            z_c, zc_hits = _find_min_level(
-                g, lambda k: connected_in_components_sets(g, k), meter, pool, z
-            )
+            z_c, zc_hits = _min_czfs_level(g, meter, pool, z)
             fields["z_c"] = z_c
             fields["min_czfs_count"] = len(zc_hits)
             witnesses["z_c"] = zc_hits[0]

@@ -134,3 +134,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["z"] == 1
+
+
+def test_malformed_budget_env_is_an_input_error(capsys, monkeypatch):
+    monkeypatch.setenv("ZF_BUDGET", "abc")
+    code, _, err = run_cli(capsys, "compute", "path(3)")
+    assert code == 2
+    doc = json.loads(err)
+    assert doc["error"] == "SettingError" and "ZF_BUDGET" in doc["message"]
+
+
+def test_deeply_nested_term_is_an_input_error(capsys):
+    term = "cartesian(path(1)," * 3000 + "path(1)" + ")" * 3000
+    code, _, err = run_cli(capsys, "compute", term)
+    assert code == 2
+    assert json.loads(err)["error"] == "ParseError"

@@ -1,0 +1,207 @@
+"""Differential tests of the all-k-sets level stream.
+
+The reference evaluates every k-subset on its own, in lexicographic order,
+with the scalar kernels ``_closure`` and ``_propagation_steps``.  The
+stream must give the same hit list and the same pt for every hit, at every
+run width and with or without the small-level scalar path.
+"""
+
+import random
+import time
+from itertools import combinations
+from math import comb
+
+import pytest
+
+import zeroforcing.solver as solver
+from naive_oracle import min_forcing_sets, neighbor_sets, rounds_to_fill
+from zeroforcing.dsl import parse_graph_dsl
+from zeroforcing.forcing import _closure, _propagation_steps
+from zeroforcing.graphs import mask_of, new_graph
+from zeroforcing.solver import (
+    BudgetExceeded,
+    SolverLimits,
+    enumerate_min_zfs,
+    solve_report,
+    zero_forcing_number,
+)
+
+# (run width, scalar-level cutoff): narrow runs split a level into many
+# runs; cutoff 0 sends even the smallest level through the bit-sliced kernel
+SETTINGS = [(3, 0), (7, 0), (64, 20), (solver._LEVEL_WIDTH, solver._SCALAR_LEVEL)]
+
+
+@pytest.fixture(params=SETTINGS, ids=lambda p: f"width{p[0]}-scalar{p[1]}")
+def stream_setting(request, monkeypatch):
+    width, scalar = request.param
+    monkeypatch.setattr(solver, "_LEVEL_WIDTH", width)
+    monkeypatch.setattr(solver, "_SCALAR_LEVEL", scalar)
+    return request.param
+
+
+def random_graph(rnd, n):
+    p = rnd.uniform(0.15, 0.6)
+    return new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p])
+
+
+def reference_level(g, k):
+    """[(mask, pt or None)] for every k-set, lexicographic order."""
+    out = []
+    for combo in combinations(range(g.n), k):
+        m = mask_of(combo)
+        forces = _closure(g.adj, g.full_mask, m) == g.full_mask
+        out.append((m, _propagation_steps(g.adj, g.full_mask, m) if forces else None))
+    return out
+
+
+def stream_level(g, k):
+    """The level stream decoded into the reference's shape."""
+    out = []
+    for run, done in solver._level_stream(g, k):
+        count = run[3]
+        pts = {}
+        for t, bits in enumerate(done):
+            while bits:
+                low = bits & -bits
+                bits ^= low
+                pts[low.bit_length() - 1] = t
+        assert max(pts, default=-1) < count
+        out.extend((solver._unrank(g.n, run, j), pts.get(j)) for j in range(count))
+    return out
+
+
+def reference_z(g):
+    """(z, hits with pt, sets charged before level z, level z) from the
+    scalar reference."""
+    before = 0
+    for k in range(solver._zfs_lower_bound(g), g.n + 1):
+        level = reference_level(g, k)
+        hits = [(m, t) for m, t in level if t is not None]
+        if hits:
+            return k, hits, before, level
+        before += len(level)
+    raise AssertionError("unreachable")
+
+
+def level_running_out(g, limit):
+    """The level whose sets the (limit + 1)-th charge falls in."""
+    k = solver._zfs_lower_bound(g)
+    while limit >= comb(g.n, k):
+        limit -= comb(g.n, k)
+        k += 1
+    return k
+
+
+def test_runs_tile_the_level():
+    for n in range(1, 13):
+        for k in range(0, n + 1):
+            for width in (1, 2, 5, 64):
+                runs = list(solver._level_runs(n, k, width))
+                assert sum(r[3] for r in runs) == comb(n, k)
+                assert all(1 <= r[3] <= width for r in runs)
+                masks = [solver._unrank(n, r, j) for r in runs for j in range(r[3])]
+                assert masks == [mask_of(c) for c in combinations(range(n), k)]
+
+
+def test_pascal_row_matches_unrank():
+    for n, r, s, width in [(9, 3, 2, 100), (9, 3, 2, 11), (12, 5, 0, 64), (6, 0, 1, 8)]:
+        row = solver._pascal_row(n, r, s, width)
+        subsets = list(combinations(range(s, n), r))[:width]
+        for v in range(s, n):
+            want = sum(1 << j for j, c in enumerate(subsets) if v in c)
+            assert row[v - s] == want
+
+
+def test_level_stream_matches_scalar_reference(stream_setting):
+    rnd = random.Random(20240611)
+    for _ in range(6):
+        g = random_graph(rnd, rnd.randint(10, 12))
+        for k in range(1, g.n + 1):
+            assert stream_level(g, k) == reference_level(g, k), (g, k)
+
+
+def test_queries_match_scalar_reference(stream_setting):
+    rnd = random.Random(7)
+    for _ in range(8):
+        g = random_graph(rnd, rnd.randint(10, 12))
+        z, hits, _, _ = reference_z(g)
+        masks = [m for m, _ in hits]
+        assert zero_forcing_number(g) == (z, masks[0])
+        assert list(enumerate_min_zfs(g, z)) == masks
+        rep = solve_report(g)
+        pts = [t for _, t in hits]
+        assert (rep.z, rep.min_zfs_count) == (z, len(hits))
+        assert (rep.pt_min, rep.pt_max) == (min(pts), max(pts))
+        # witnesses: the first set in stream order attaining each value
+        assert rep.witnesses["z"] == masks[0]
+        assert rep.witnesses["pt"] == masks[pts.index(min(pts))]
+        assert rep.witnesses["PT"] == masks[pts.index(max(pts))]
+
+
+def test_matches_naive_oracle(stream_setting):
+    rnd = random.Random(99)
+    for _ in range(25):
+        g = random_graph(rnd, rnd.randint(1, 8))
+        adj = neighbor_sets(g)
+        z, sets = min_forcing_sets(adj)
+        pts = [rounds_to_fill(adj, s) for s in sets]
+        rep = solve_report(g)
+        assert (rep.z, rep.min_zfs_count, rep.pt_min, rep.pt_max) == (
+            z, len(sets), min(pts), max(pts),
+        )
+        assert sorted(enumerate_min_zfs(g, z)) == sorted(mask_of(s) for s in sets)
+
+
+def test_first_hit_budget_edges(stream_setting):
+    """The first hit exactly at the limit passes; one less raises with the
+    limit charged, even when the limit falls inside a run."""
+    rnd = random.Random(5)
+    checked = 0
+    for _ in range(10):
+        g = random_graph(rnd, rnd.randint(9, 11))
+        z, hits, before, level = reference_z(g)
+        needed = before + [m for m, _ in level].index(hits[0][0]) + 1
+        assert zero_forcing_number(g, SolverLimits(max_closures=needed)) == (z, hits[0][0])
+        for limit in (1, 2, 3, before, before + 1, needed - 1):
+            if 1 <= limit < needed:
+                with pytest.raises(BudgetExceeded) as info:
+                    zero_forcing_number(g, SolverLimits(max_closures=limit))
+                assert info.value.closures == limit
+                assert info.value.best_known["z_lower_bound"] == level_running_out(g, limit)
+                checked += 1
+    assert checked
+
+
+def test_drain_budget_edges(stream_setting):
+    """solve_report charges level Z in full, then one per pt, in that order."""
+    rnd = random.Random(11)
+    for _ in range(6):
+        g = random_graph(rnd, rnd.randint(9, 11))
+        z, hits, before, level = reference_z(g)
+        z_done = before + len(level)
+        pt_done = z_done + len(hits)
+        for limit in (1, z_done - 1, z_done, z_done + 1, pt_done - 1, pt_done):
+            if limit < 1:
+                continue
+            rep = solve_report(g, limits=SolverLimits(max_closures=limit))
+            if limit < pt_done:
+                assert rep.budget_exceeded and rep.closures == limit
+            assert (rep.z is not None) == (limit >= z_done)
+            assert (rep.pt_min is not None) == (limit >= pt_done)
+            if rep.z is not None:
+                assert rep.min_zfs_count == len(hits)
+
+
+def test_tiny_budget_on_a_huge_level_returns_fast():
+    """strong(C6, C6) starts at level 8 of 36 vertices (C(36, 8) ~ 30M sets);
+    a budget of 10 must stop after one run, not after the whole level."""
+    g = parse_graph_dsl("strong(cycle(6),cycle(6))")
+    limits = SolverLimits(max_closures=10)
+    start = time.perf_counter()
+    rep = solve_report(g, limits=limits)
+    assert rep.budget_exceeded and rep.closures == 10 and rep.z is None
+    with pytest.raises(BudgetExceeded) as info:
+        zero_forcing_number(g, limits)
+    assert info.value.closures == 10
+    assert info.value.best_known["z_lower_bound"] == 8
+    assert time.perf_counter() - start < 10

@@ -201,3 +201,37 @@ def test_solver_matches_oracle(g):
         assert propagation_time(g, rep.witnesses[key]) == t
     for key, t in (("pt_c", rep.ptc_min), ("PT_c", rep.ptc_max)):
         assert propagation_time(g, rep.witnesses[key]) == t
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"z": 3, "z_c": 2},
+        {"z": 2, "pt_min": 3, "pt_max": 2},
+        {"z": 2, "pt_min": 1, "pt_max": 5},
+        {"z_c": 2, "ptc_min": 1, "ptc_max": 5},
+    ],
+)
+def test_report_invariants_hold_under_optimize(bad):
+    """The SolveReport invariants are checks, not asserts: python -O keeps them."""
+    import subprocess
+    import sys
+
+    fields = dict(
+        n=6, m=5, z=None, z_c=None, pt_min=None, pt_max=None, ptc_min=None,
+        ptc_max=None, witnesses={}, min_zfs_count=None, min_czfs_count=None,
+        closures=0, budget_exceeded=False,
+    )
+    fields.update(bad)
+    code = (
+        "from zeroforcing.solver import SolveReport\n"
+        "try:\n"
+        f"    SolveReport(**{fields!r})\n"
+        "except ValueError:\n"
+        "    raise SystemExit(0)\n"
+        "raise SystemExit('inconsistent report accepted')\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
