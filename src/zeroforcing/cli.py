@@ -35,7 +35,8 @@ EXIT_BUDGET = 3
 
 
 class SettingError(ValueError):
-    """An environment setting is malformed."""
+    """A flag or environment setting is malformed or out of range."""
+
 
 _FAMILY_HELP = [
     ("path(n)", "vertices 0..n-1 in path order (n >= 1)"),
@@ -82,17 +83,24 @@ def _load_graph(args) -> Graph:
     return parse_graph_dsl(args.graph)
 
 
+def _at_least(name: str, value: int, low: int) -> int:
+    if value < low:
+        raise SettingError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def _budget(args) -> int:
     """``--budget`` if given, else ``ZF_BUDGET``, else the default."""
     if args.budget is not None:
-        return args.budget
+        return _at_least("--budget", args.budget, 0)
     env = os.environ.get("ZF_BUDGET")
     if not env:
         return DEFAULT_BUDGET
     try:
-        return int(env)
+        value = int(env)
     except ValueError:
         raise SettingError(f"ZF_BUDGET must be an integer, got {env!r}") from None
+    return _at_least("ZF_BUDGET", value, 0)
 
 
 def _add_graph_input(sub):
@@ -131,7 +139,7 @@ def _report_table(rep) -> str:
 def _cmd_compute(args) -> int:
     g = _load_graph(args)
     limits = SolverLimits(max_closures=_budget(args))
-    rep = solve_report(g, limits=limits, jobs=args.jobs)
+    rep = solve_report(g, limits=limits, jobs=_at_least("--jobs", args.jobs, 1))
     if args.format == "table":
         _emit(_report_table(rep), args.out)
     else:
@@ -178,7 +186,11 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suites(suite=args.suite, nmax=args.nmax, jobs=args.jobs)
+    results = run_suites(
+        suite=args.suite,
+        nmax=_at_least("--nmax", args.nmax, 1),
+        jobs=_at_least("--jobs", args.jobs, 1),
+    )
     if args.format == "csv":
         _emit(csv_summary(results), args.out)
     else:

@@ -205,6 +205,42 @@ def is_connected_in_components(g: Graph, s: int) -> bool:
     return True
 
 
+def connected_columns(nbrs, comps, cols: list[int], ones: int) -> int:
+    """Bit-sliced ``is_connected_in_components`` over many sets at once.
+
+    ``nbrs[v]`` lists the neighbors of v and ``comps`` the components as
+    ascending vertex lists; bit j of ``cols[v]`` says v is in set j, for
+    the sets j in ``ones``.  Returns the sets of ``ones`` that are
+    connected in components.
+    """
+    n = len(cols)
+    # seed each set at its lowest member in every component it meets
+    reach = [0] * n
+    for comp in comps:
+        seen = 0
+        for v in comp:
+            reach[v] = cols[v] & ~seen
+            seen |= cols[v]
+    # grow every seed's reach inside its set, in place, until a sweep adds
+    # nothing; a sweep may carry reach several steps along ascending ids
+    moved = True
+    while moved:
+        moved = False
+        for v in range(n):
+            left = cols[v] & ~reach[v]
+            if left:
+                near = 0
+                for u in nbrs[v]:
+                    near |= reach[u]
+                if near & left:
+                    reach[v] |= near & left
+                    moved = True
+    stray = 0
+    for c, r in zip(cols, reach):
+        stray |= c & ~r
+    return ones & ~stray
+
+
 def induced_subgraph(g: Graph, s: int) -> tuple[Graph, list[int]]:
     """Subgraph induced on mask ``s``, relabeled to ``0..|s|-1``.
 

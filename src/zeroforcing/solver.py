@@ -2,32 +2,30 @@
 
 Candidates are scanned in increasing size; within a size level masks are
 tested in lexicographic order of their sorted vertex tuples, which makes
-every witness and count reproducible.  All k-sets of a level are closed
-in runs of up to ``_LEVEL_WIDTH`` sets per call of the bit-sliced kernel,
-which also yields every set's propagation time.  Connected candidates come
-from a seed-and-frontier enumeration that emits each connected set exactly
-once, and are closed one at a time.
+every witness and count reproducible.  One level stream serves both kinds
+of set: the k-sets of a level are closed in runs of up to ``_LEVEL_WIDTH``
+sets per call of the bit-sliced kernel, which also yields every set's
+propagation time.  For connected sets the stream first keeps, per run,
+the sets that the bit-sliced connectivity kernel finds connected in
+components, and closes only those.
 
 Work is metered in candidate evaluations (one closure per candidate, one
 per propagation-time measurement).  Charging follows the deterministic
-stream order, so budgets and reported counts do not depend on how many
-worker processes evaluated the stream.
+stream order, and a connected stream charges only its connected sets.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
 from .forcing import _batch_rounds, _closure, _propagation_steps
-from .graphs import Graph, components, mask_of, vertices_of
+from .graphs import Graph, components, connected_columns, mask_of, vertices_of
 
 DEFAULT_BUDGET = 10**8
-_CHUNK = 4096
-# sets per bit-sliced kernel call in the all-k-sets stream
+# sets per bit-sliced kernel call in the level stream
 _LEVEL_WIDTH = 16384
 # levels this small skip the kernel and evaluate set by set
 _SCALAR_LEVEL = 20
@@ -118,9 +116,20 @@ def _pascal_row(n: int, r: int, s: int, width: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=256)
-def _small_level(n: int, k: int) -> tuple[int, ...]:
-    """Masks of a small level, lexicographic; shared by every graph of order n."""
-    return tuple(mask_of(c) for c in combinations(range(n), k))
+def _small_level(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Masks of a small level, lexicographic, and their bit-sliced columns;
+    shared by every graph of order n."""
+    masks = tuple(mask_of(c) for c in combinations(range(n), k))
+    cols = tuple(
+        sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(n)
+    )
+    return masks, cols
+
+
+@lru_cache(maxsize=8)
+def _shape(g: Graph):
+    """Neighbor lists and ascending component vertex lists of g."""
+    return tuple(map(vertices_of, g.adj)), tuple(map(vertices_of, components(g)))
 
 
 def _unrank(n: int, run, j: int) -> int:
@@ -137,33 +146,63 @@ def _unrank(n: int, run, j: int) -> int:
     return mask
 
 
-def _level_stream(g: Graph, k: int):
-    """Yield ``(run, done)`` for each run of level k, in stream order.
+def _unrank_bits(n: int, run, bits: int):
+    """Masks of the run's sets whose bits are set, in stream order."""
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        yield _unrank(n, run, low.bit_length() - 1)
 
-    ``done`` is the per-round finished bitmap of ``_batch_rounds``: bit j
-    of ``done[t]`` says the run's j-th set forces g in exactly t rounds.
+
+def _level_columns(g: Graph, k: int, connected: bool):
+    """Yield ``(run, cols, ones)`` for each kernel-sized run of level k, in
+    stream order.
+
+    Bit j of ``cols[v]`` says v lies in the run's j-th set.  ``ones`` holds
+    the sets the stream keeps: all of them, or with ``connected`` those
+    connected in components.
     """
     n = g.n
-    if comb(n, k) <= _SCALAR_LEVEL:
-        # a kernel call costs more than these few sets: fill done set by set
-        adj, full = g.adj, g.full_mask
-        masks = _small_level(n, k)
-        done = [0]
-        for j, m in enumerate(masks):
-            if _closure(adj, full, m) == full:
-                t = _propagation_steps(adj, full, m)
-                done.extend([0] * (t + 1 - len(done)))
-                done[t] |= 1 << j
-        yield (0, 0, k, len(masks)), done
-        return
-    nbrs = [vertices_of(a) for a in g.adj]
     for run in _level_runs(n, k, _LEVEL_WIDTH):
         prefix, s, r, count = run
         ones = (1 << count) - 1
         cols = [0] * s + [c & ones for c in _pascal_row(n, r, s, _LEVEL_WIDTH)]
         for v in vertices_of(prefix):
             cols[v] = ones
-        yield run, _batch_rounds(nbrs, cols, ones)
+        if connected:
+            ones = connected_columns(*_shape(g), cols, ones)
+        yield run, cols, ones
+
+
+def _level_stream(g: Graph, k: int, connected: bool = False):
+    """Yield ``(run, ones, done)`` for each run of level k, in stream order.
+
+    ``ones`` holds the run's sets in the stream (see ``_level_columns``);
+    ``done`` is the per-round finished bitmap of ``_batch_rounds`` on them:
+    bit j of ``done[t]`` says the run's j-th set forces g in exactly t rounds.
+    """
+    n = g.n
+    if comb(n, k) > _SCALAR_LEVEL:
+        nbrs = _shape(g)[0]
+        for run, cols, ones in _level_columns(g, k, connected):
+            done = _batch_rounds(nbrs, [c & ones for c in cols], ones) if ones else [0]
+            yield run, ones, done
+        return
+    # a kernel call costs more than these few sets: fill done set by set
+    masks, cols = _small_level(n, k)
+    ones = (1 << len(masks)) - 1
+    kept = enumerate(masks)
+    if connected:
+        ones = connected_columns(*_shape(g), cols, ones)
+        kept = [(j, m) for j, m in kept if ones >> j & 1]
+    adj, full = g.adj, g.full_mask
+    done = [0]
+    for j, m in kept:
+        if _closure(adj, full, m) == full:
+            t = _propagation_steps(adj, full, m)
+            done.extend([0] * (t + 1 - len(done)))
+            done[t] |= 1 << j
+    yield (0, 0, k, len(masks)), ones, done
 
 
 def _hits(done: list[int]) -> int:
@@ -177,81 +216,6 @@ def _lowest(bits: int) -> int:
     return (bits & -bits).bit_length() - 1
 
 
-def _zfs_chunk(args):
-    adj, full, masks = args
-    return [i for i, m in enumerate(masks) if _closure(adj, full, m) == full]
-
-
-def _pt_chunk(args):
-    adj, full, masks = args
-    return [_propagation_steps(adj, full, m) for m in masks]
-
-
-def _scan_masks(g: Graph, masks: list[int], meter: _Meter, pool) -> list[int]:
-    """Masks whose closure covers g, in input order; charges one per mask."""
-    adj, full = g.adj, g.full_mask
-    hits = []
-    if pool is None or len(masks) < 2 * _CHUNK:
-        for m in masks:
-            meter.charge()
-            if _closure(adj, full, m) == full:
-                hits.append(m)
-        return hits
-    batches = [masks[i : i + _CHUNK] for i in range(0, len(masks), _CHUNK)]
-    results = pool.imap(_zfs_chunk, ((adj, full, b) for b in batches))
-    for batch, hit_idx in zip(batches, results):
-        idx = set(hit_idx)
-        for i, m in enumerate(batch):
-            meter.charge()
-            if i in idx:
-                hits.append(m)
-    return hits
-
-
-def _measure_pts(g: Graph, masks: list[int], meter: _Meter, pool) -> list[int]:
-    adj, full = g.adj, g.full_mask
-    if pool is None or len(masks) < 2 * _CHUNK:
-        out = []
-        for m in masks:
-            meter.charge()
-            out.append(_propagation_steps(adj, full, m))
-        return out
-    batches = [masks[i : i + _CHUNK] for i in range(0, len(masks), _CHUNK)]
-    results = pool.imap(_pt_chunk, ((adj, full, b) for b in batches))
-    out = []
-    for batch, pts in zip(batches, results):
-        for p in pts:
-            meter.charge()
-            out.append(p)
-    return out
-
-
-def connected_sets_by_size(g: Graph, cap: int) -> list[list[int]]:
-    """All connected vertex sets of size 1..cap, grouped by size.
-
-    Seed-and-frontier enumeration with an exclusive-extension rule: each
-    connected set is generated exactly once, grown from its minimum vertex.
-    """
-    adj = g.adj
-    out: list[list[int]] = [[] for _ in range(cap + 1)]
-
-    def extend(sub: int, size: int, ext: int, nbhd: int, hi: int):
-        out[size].append(sub)
-        if size == cap:
-            return
-        while ext:
-            wbit = ext & -ext
-            ext ^= wbit
-            nb_w = adj[wbit.bit_length() - 1]
-            extend(sub | wbit, size + 1, ext | (nb_w & hi & ~nbhd), nbhd | nb_w, hi)
-
-    if cap >= 1:
-        for v in range(g.n):
-            hi = -1 << (v + 1)
-            extend(1 << v, 1, adj[v] & hi, adj[v] | (1 << v), hi)
-    return out
-
-
 def connected_in_components_sets(g: Graph, k: int) -> list[int]:
     """Size-k sets connected in components, sorted by vertex tuple.
 
@@ -260,62 +224,40 @@ def connected_in_components_sets(g: Graph, k: int) -> list[int]:
     """
     if k < 1:
         return []
-    by_size = connected_sets_by_size(g, k)
-    comps = components(g)
-    if len(comps) == 1:
-        level = by_size[k]
-        level.sort(key=vertices_of)
-        return level
-    buckets: list[list[list[int]]] = [[[] for _ in range(k + 1)] for _ in comps]
-    comp_index = {}
-    for ci, comp in enumerate(comps):
-        for v in vertices_of(comp):
-            comp_index[v] = ci
-    for size in range(1, k + 1):
-        for m in by_size[size]:
-            buckets[comp_index[(m & -m).bit_length() - 1]][size].append(m)
-    out: list[int] = []
-
-    def compose(ci: int, remaining: int, acc: int):
-        if ci == len(comps):
-            if remaining == 0 and acc:
-                out.append(acc)
-            return
-        if remaining == 0:
-            if acc:
-                out.append(acc)
-            return
-        compose(ci + 1, remaining, acc)
-        for size in range(1, remaining + 1):
-            for m in buckets[ci][size]:
-                compose(ci + 1, remaining - size, acc | m)
-
-    compose(0, k, 0)
-    out.sort(key=vertices_of)
-    return out
+    return [
+        m
+        for run, _, ones in _level_columns(g, k, connected=True)
+        for m in _unrank_bits(g.n, run, ones)
+    ]
 
 
 def _zfs_lower_bound(g: Graph) -> int:
     return max(1, min(g.degree(v) for v in range(g.n)))
 
 
+def _first_hit(g: Graph, limits: SolverLimits | None, connected: bool) -> tuple[int, int]:
+    """Smallest level holding a (connected) zero forcing set, with the
+    first such set in stream order.  Charged through the hit."""
+    meter = _Meter(limits)
+    meter.note = "connected zero forcing number" if connected else "zero forcing number"
+    for k in range(_zfs_lower_bound(g), g.n + 1):
+        try:
+            for run, ones, done in _level_stream(g, k, connected):
+                if done[-1]:
+                    first = _lowest(_hits(done))
+                    meter.charge((ones & (2 << first) - 1).bit_count())
+                    return k, _unrank(g.n, run, first)
+                meter.charge(ones.bit_count())
+        except BudgetExceeded as exc:
+            exc.best_known["z_c_lower_bound" if connected else "z_lower_bound"] = k
+            raise
+    raise AssertionError("the full vertex set always forces")
+
+
 def zero_forcing_number(g: Graph, limits: SolverLimits | None = None) -> tuple[int, int]:
     """Smallest size of a zero forcing set, with its lexicographically
     least witness mask."""
-    meter = _Meter(limits)
-    meter.note = "zero forcing number"
-    for k in range(_zfs_lower_bound(g), g.n + 1):
-        try:
-            for run, done in _level_stream(g, k):
-                if done[-1]:
-                    first = _lowest(_hits(done))
-                    meter.charge(first + 1)
-                    return k, _unrank(g.n, run, first)
-                meter.charge(run[3])
-        except BudgetExceeded as exc:
-            exc.best_known["z_lower_bound"] = k
-            raise
-    raise AssertionError("the full vertex set always forces")
+    return _first_hit(g, limits, connected=False)
 
 
 def connected_zero_forcing_number(
@@ -323,19 +265,7 @@ def connected_zero_forcing_number(
 ) -> tuple[int, int]:
     """Smallest size of a connected zero forcing set, with the
     lexicographically least witness mask."""
-    meter = _Meter(limits)
-    meter.note = "connected zero forcing number"
-    adj, full = g.adj, g.full_mask
-    for k in range(_zfs_lower_bound(g), g.n + 1):
-        try:
-            for m in connected_in_components_sets(g, k):
-                meter.charge()
-                if _closure(adj, full, m) == full:
-                    return k, m
-        except BudgetExceeded as exc:
-            exc.best_known["z_c_lower_bound"] = k
-            raise
-    raise AssertionError("the full vertex set always forces")
+    return _first_hit(g, limits, connected=True)
 
 
 def enumerate_min_zfs(g: Graph, k: int, limits: SolverLimits | None = None):
@@ -346,12 +276,8 @@ def enumerate_min_zfs(g: Graph, k: int, limits: SolverLimits | None = None):
     z, _ = zero_forcing_number(g, limits)
     if k != z:
         raise WrongSize(f"minimum zero forcing sets have size {z}, not {k}")
-    for run, done in _level_stream(g, k):
-        hits = _hits(done)
-        while hits:
-            low = hits & -hits
-            hits ^= low
-            yield _unrank(g.n, run, low.bit_length() - 1)
+    for run, _, done in _level_stream(g, k):
+        yield from _unrank_bits(g.n, run, _hits(done))
 
 
 def enumerate_min_czfs(g: Graph, k: int, limits: SolverLimits | None = None):
@@ -359,10 +285,8 @@ def enumerate_min_czfs(g: Graph, k: int, limits: SolverLimits | None = None):
     zc, _ = connected_zero_forcing_number(g, limits)
     if k != zc:
         raise WrongSize(f"minimum connected zero forcing sets have size {zc}, not {k}")
-    adj, full = g.adj, g.full_mask
-    for m in connected_in_components_sets(g, k):
-        if _closure(adj, full, m) == full:
-            yield m
+    for run, _, done in _level_stream(g, k, connected=True):
+        yield from _unrank_bits(g.n, run, _hits(done))
 
 
 def propagation_extrema(
@@ -452,13 +376,14 @@ class SolveReport:
         }
 
 
-def _min_zfs_level(g: Graph, meter: _Meter):
-    """Drain every level up to Z; returns Z and the ``(run, done)`` pairs
-    of level Z that hold a zero forcing set.  Charges one per set."""
-    for k in range(_zfs_lower_bound(g), g.n + 1):
+def _min_level(g: Graph, meter: _Meter, start: int, connected: bool):
+    """Drain the levels from ``start`` up to the first one that holds a
+    (connected) zero forcing set; returns its size and the ``(run, done)``
+    pairs that hold one.  Charges one per set in the stream."""
+    for k in range(start, g.n + 1):
         found = []
-        for run, done in _level_stream(g, k):
-            meter.charge(run[3])
+        for run, ones, done in _level_stream(g, k, connected):
+            meter.charge(ones.bit_count())
             if done[-1]:
                 found.append((run, done))
         if found:
@@ -466,23 +391,36 @@ def _min_zfs_level(g: Graph, meter: _Meter):
     raise AssertionError("the full vertex set always forces")
 
 
-def _min_czfs_level(g: Graph, meter: _Meter, pool, start: int):
-    for k in range(start, g.n + 1):
-        hits = _scan_masks(g, connected_in_components_sets(g, k), meter, pool)
-        if hits:
-            return k, hits
-    raise AssertionError("the full vertex set always forces")
-
-
-def _extrema(masks, pts):
+def _level_summary(n: int, found):
+    """``(count, witness, (pt, witness), (PT, witness))`` of a level's hits;
+    every witness is the first attaining set in stream order."""
+    count = 0
     tmin = tmax = None
-    wmin = wmax = None
-    for m, t in zip(masks, pts):
-        if tmin is None or t < tmin:
-            tmin, wmin = t, m
-        if tmax is None or t > tmax:
-            tmax, wmax = t, m
-    return tmin, wmin, tmax, wmax
+    for run, done in found:
+        count += _hits(done).bit_count()
+        first = 0
+        while not done[first]:
+            first += 1
+        if tmin is None or first < tmin:
+            tmin, at_min = first, (run, done[first])
+        if tmax is None or len(done) - 1 > tmax:
+            tmax, at_max = len(done) - 1, (run, done[-1])
+    run, done = found[0]
+    return (
+        count,
+        _unrank(n, run, _lowest(_hits(done))),
+        (tmin, _unrank(n, at_min[0], _lowest(at_min[1]))),
+        (tmax, _unrank(n, at_max[0], _lowest(at_max[1]))),
+    )
+
+
+# per phase: connected, value and count fields, pt fields, witness keys, meter notes
+_PHASES = (
+    (False, "z", "min_zfs_count", ("pt_min", "pt_max"), ("z", "pt", "PT"),
+     ("zero forcing number", "propagation extrema")),
+    (True, "z_c", "min_czfs_count", ("ptc_min", "ptc_max"), ("z_c", "pt_c", "PT_c"),
+     ("connected zero forcing number", "connected propagation extrema")),
+)
 
 
 def solve_report(
@@ -490,82 +428,34 @@ def solve_report(
 ) -> SolveReport:
     """Compute Z, Z_c, and all four propagation-time extrema with witnesses.
 
-    ``jobs`` > 1 evaluates the connected candidates in worker processes;
-    chunk results are reduced in stream order, so the report is
-    byte-identical to a single-process run.
+    ``jobs`` is accepted for compatibility and has no effect: every phase
+    runs in this process, and the report never depended on it.
     """
     meter = _Meter(limits)
-    fields = {
-        "z": None,
-        "z_c": None,
-        "pt_min": None,
-        "pt_max": None,
-        "ptc_min": None,
-        "ptc_max": None,
-        "min_zfs_count": None,
-        "min_czfs_count": None,
-    }
-    witnesses = {k: None for k in ("z", "z_c", "pt", "PT", "pt_c", "PT_c")}
+    fields = dict.fromkeys(
+        ("z", "z_c", "pt_min", "pt_max", "ptc_min", "ptc_max", "min_zfs_count", "min_czfs_count")
+    )
+    witnesses = dict.fromkeys(("z", "z_c", "pt", "PT", "pt_c", "PT_c"))
     exceeded = False
-    pool = None
+    k = _zfs_lower_bound(g)
     try:
-        if jobs > 1:
-            pool = mp.get_context("fork").Pool(jobs)
-        try:
-            meter.note = "zero forcing number"
-            z, found = _min_zfs_level(g, meter)
-            count = 0
-            tmin = tmax = None
-            for run, done in found:
-                count += _hits(done).bit_count()
-                first = 0
-                while not done[first]:
-                    first += 1
-                if tmin is None or first < tmin:
-                    tmin, at_min = first, (run, done[first])
-                if tmax is None or len(done) - 1 > tmax:
-                    tmax, at_max = len(done) - 1, (run, done[-1])
-            fields["z"] = z
-            fields["min_zfs_count"] = count
-            run, done = found[0]
-            witnesses["z"] = _unrank(g.n, run, _lowest(_hits(done)))
-
+        for connected, value, count_key, (lo, hi), (wk, wlo, whi), notes in _PHASES:
+            meter.note = notes[0]
+            k, found = _min_level(g, meter, k, connected)
+            count, witness, (tmin, wmin), (tmax, wmax) = _level_summary(g.n, found)
+            fields[value], fields[count_key], witnesses[wk] = k, count, witness
             # pt of every minimum set came with its closure; charge one each
-            meter.note = "propagation extrema"
+            meter.note = notes[1]
             meter.charge(count)
-            fields["pt_min"], fields["pt_max"] = tmin, tmax
-            witnesses["pt"] = _unrank(g.n, at_min[0], _lowest(at_min[1]))
-            witnesses["PT"] = _unrank(g.n, at_max[0], _lowest(at_max[1]))
-
-            meter.note = "connected zero forcing number"
-            z_c, zc_hits = _min_czfs_level(g, meter, pool, z)
-            fields["z_c"] = z_c
-            fields["min_czfs_count"] = len(zc_hits)
-            witnesses["z_c"] = zc_hits[0]
-
-            meter.note = "connected propagation extrema"
-            pts = _measure_pts(g, zc_hits, meter, pool)
-            tmin, wmin, tmax, wmax = _extrema(zc_hits, pts)
-            fields["ptc_min"], fields["ptc_max"] = tmin, tmax
-            witnesses["pt_c"], witnesses["PT_c"] = wmin, wmax
-        except BudgetExceeded:
-            exceeded = True
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+            fields[lo], fields[hi] = tmin, tmax
+            witnesses[wlo], witnesses[whi] = wmin, wmax
+    except BudgetExceeded:
+        exceeded = True
     return SolveReport(
         n=g.n,
         m=g.edge_count(),
-        z=fields["z"],
-        z_c=fields["z_c"],
-        pt_min=fields["pt_min"],
-        pt_max=fields["pt_max"],
-        ptc_min=fields["ptc_min"],
-        ptc_max=fields["ptc_max"],
         witnesses=witnesses,
-        min_zfs_count=fields["min_zfs_count"],
-        min_czfs_count=fields["min_czfs_count"],
         closures=meter.used,
         budget_exceeded=exceeded,
+        **fields,
     )

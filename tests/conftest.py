@@ -1,6 +1,8 @@
+import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+import zeroforcing.solver as solver
 from zeroforcing.graphs import new_graph
 
 settings.register_profile(
@@ -24,3 +26,17 @@ def graphs_with_sets(draw, min_n=1, max_n=8):
     g = draw(graphs(min_n=min_n, max_n=max_n))
     mask = draw(st.integers(min_value=0, max_value=g.full_mask))
     return g, mask
+
+
+# (run width, scalar-level cutoff) of the level stream: narrow runs split a
+# level into many runs; cutoff 0 sends even the smallest level through the
+# bit-sliced kernels
+SETTINGS = [(3, 0), (7, 0), (64, 20), (solver._LEVEL_WIDTH, solver._SCALAR_LEVEL)]
+
+
+@pytest.fixture(params=SETTINGS, ids=lambda p: f"width{p[0]}-scalar{p[1]}")
+def stream_setting(request, monkeypatch):
+    width, scalar = request.param
+    monkeypatch.setattr(solver, "_LEVEL_WIDTH", width)
+    monkeypatch.setattr(solver, "_SCALAR_LEVEL", scalar)
+    return request.param

@@ -149,3 +149,42 @@ def test_deeply_nested_term_is_an_input_error(capsys):
     code, _, err = run_cli(capsys, "compute", term)
     assert code == 2
     assert json.loads(err)["error"] == "ParseError"
+
+
+def test_negative_budget_is_an_input_error(capsys, monkeypatch):
+    for verb in (["compute", "path(3)"], ["enumerate", "path(3)", "--min-zfs"]):
+        code, out, err = run_cli(capsys, *verb, "--budget", "-5")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "SettingError"
+    monkeypatch.setenv("ZF_BUDGET", "-5")
+    for verb in (["compute", "path(3)"], ["enumerate", "path(3)", "--connected"]):
+        code, out, err = run_cli(capsys, *verb)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "SettingError" and "ZF_BUDGET" in doc["message"]
+
+
+def test_zero_budget_stays_valid(capsys):
+    code, out, _ = run_cli(capsys, "compute", "path(3)", "--budget", "0")
+    assert code == 3
+    assert json.loads(out)["budget"] == {"closures": 0, "exceeded": True}
+
+
+def test_jobs_below_one_is_an_input_error(capsys):
+    for argv in (
+        ["compute", "path(3)", "--jobs", "0"],
+        ["compute", "path(3)", "--jobs", "-2"],
+        ["verify", "--suite", "named", "--jobs", "0"],
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        doc = json.loads(err)
+        assert doc["error"] == "SettingError" and "--jobs" in doc["message"]
+
+
+def test_nmax_below_one_is_an_input_error(capsys):
+    for nmax in ("-1", "0"):
+        code, out, err = run_cli(capsys, "verify", "--suite", "exhaustive", "--nmax", nmax)
+        assert code == 2 and out == ""
+        doc = json.loads(err)
+        assert doc["error"] == "SettingError" and "--nmax" in doc["message"]

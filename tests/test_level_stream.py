@@ -26,19 +26,6 @@ from zeroforcing.solver import (
     zero_forcing_number,
 )
 
-# (run width, scalar-level cutoff): narrow runs split a level into many
-# runs; cutoff 0 sends even the smallest level through the bit-sliced kernel
-SETTINGS = [(3, 0), (7, 0), (64, 20), (solver._LEVEL_WIDTH, solver._SCALAR_LEVEL)]
-
-
-@pytest.fixture(params=SETTINGS, ids=lambda p: f"width{p[0]}-scalar{p[1]}")
-def stream_setting(request, monkeypatch):
-    width, scalar = request.param
-    monkeypatch.setattr(solver, "_LEVEL_WIDTH", width)
-    monkeypatch.setattr(solver, "_SCALAR_LEVEL", scalar)
-    return request.param
-
-
 def random_graph(rnd, n):
     p = rnd.uniform(0.15, 0.6)
     return new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p])
@@ -57,7 +44,7 @@ def reference_level(g, k):
 def stream_level(g, k):
     """The level stream decoded into the reference's shape."""
     out = []
-    for run, done in solver._level_stream(g, k):
+    for run, _, done in solver._level_stream(g, k):
         count = run[3]
         pts = {}
         for t, bits in enumerate(done):
