@@ -8,7 +8,6 @@ subset searches) work directly on these masks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
 MAX_VERTICES = 128
 ISO_DEFAULT_LIMIT = 16
@@ -382,13 +381,3 @@ def format_edge_list(g: Graph) -> str:
     lines.extend(f"{u} {v}" for u, v in g.edges())
     return "\n".join(lines) + "\n"
 
-
-def all_labeled_graphs(n: int):
-    """Yield every labeled graph on ``n`` vertices, one per edge subset.
-
-    Edge positions follow lexicographic pair order; for each ``code`` in
-    ``0..2^C(n,2)-1`` bit ``i`` toggles the ``i``-th pair.
-    """
-    pairs = list(combinations(range(n), 2))
-    for code in range(1 << len(pairs)):
-        yield new_graph(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])

@@ -235,10 +235,9 @@ def _zfs_lower_bound(g: Graph) -> int:
     return max(1, min(g.degree(v) for v in range(g.n)))
 
 
-def _first_hit(g: Graph, limits: SolverLimits | None, connected: bool) -> tuple[int, int]:
+def _first_hit(g: Graph, meter: _Meter, connected: bool) -> tuple[int, int]:
     """Smallest level holding a (connected) zero forcing set, with the
     first such set in stream order.  Charged through the hit."""
-    meter = _Meter(limits)
     meter.note = "connected zero forcing number" if connected else "zero forcing number"
     for k in range(_zfs_lower_bound(g), g.n + 1):
         try:
@@ -257,7 +256,7 @@ def _first_hit(g: Graph, limits: SolverLimits | None, connected: bool) -> tuple[
 def zero_forcing_number(g: Graph, limits: SolverLimits | None = None) -> tuple[int, int]:
     """Smallest size of a zero forcing set, with its lexicographically
     least witness mask."""
-    return _first_hit(g, limits, connected=False)
+    return _first_hit(g, _Meter(limits), connected=False)
 
 
 def connected_zero_forcing_number(
@@ -265,47 +264,53 @@ def connected_zero_forcing_number(
 ) -> tuple[int, int]:
     """Smallest size of a connected zero forcing set, with the
     lexicographically least witness mask."""
-    return _first_hit(g, limits, connected=True)
+    return _first_hit(g, _Meter(limits), connected=True)
+
+
+def _enumerate_min(g: Graph, k: int, limits: SolverLimits | None, connected: bool):
+    """The value query, then a drain of level k that charges one per set in
+    stream order; one meter bounds both."""
+    kind = "minimum connected zero forcing sets" if connected else "minimum zero forcing sets"
+    meter = _Meter(limits)
+    z, _ = _first_hit(g, meter, connected)
+    if k != z:
+        raise WrongSize(f"{kind} have size {z}, not {k}")
+    meter.note = kind
+    for run, ones, done in _level_stream(g, k, connected):
+        meter.charge(ones.bit_count())
+        yield from _unrank_bits(g.n, run, _hits(done))
 
 
 def enumerate_min_zfs(g: Graph, k: int, limits: SolverLimits | None = None):
     """Yield every minimum zero forcing set, lexicographic order.
 
-    ``k`` must equal the zero forcing number; WrongSize otherwise.
+    ``k`` must equal the zero forcing number; WrongSize otherwise.  The
+    budget bounds the value query and the drain together.
     """
-    z, _ = zero_forcing_number(g, limits)
-    if k != z:
-        raise WrongSize(f"minimum zero forcing sets have size {z}, not {k}")
-    for run, _, done in _level_stream(g, k):
-        yield from _unrank_bits(g.n, run, _hits(done))
+    return _enumerate_min(g, k, limits, connected=False)
 
 
 def enumerate_min_czfs(g: Graph, k: int, limits: SolverLimits | None = None):
     """Yield every minimum connected zero forcing set, lexicographic order."""
-    zc, _ = connected_zero_forcing_number(g, limits)
-    if k != zc:
-        raise WrongSize(f"minimum connected zero forcing sets have size {zc}, not {k}")
-    for run, _, done in _level_stream(g, k, connected=True):
-        yield from _unrank_bits(g.n, run, _hits(done))
+    return _enumerate_min(g, k, limits, connected=True)
 
 
 def propagation_extrema(
     g: Graph, connected: bool = False, limits: SolverLimits | None = None
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """((min pt, witness), (max pt, witness)) over all minimum (connected)
-    zero forcing sets; witnesses are the first attaining sets in stream order."""
-    rep = solve_report(g, limits=limits)
-    if rep.budget_exceeded:
-        raise BudgetExceeded(
-            "budget exhausted before the extrema were determined",
-            closures=rep.closures,
-        )
+    zero forcing sets; witnesses are the first attaining sets in stream order.
+
+    Runs and charges the phases of ``solve_report`` up to the one asked for.
+    """
+    fields, witnesses = {}, {}
+    _run_phases(g, _Meter(limits), _PHASES[: 1 + connected], fields, witnesses)
     if connected:
         return (
-            (rep.ptc_min, rep.witnesses["pt_c"]),
-            (rep.ptc_max, rep.witnesses["PT_c"]),
+            (fields["ptc_min"], witnesses["pt_c"]),
+            (fields["ptc_max"], witnesses["PT_c"]),
         )
-    return (rep.pt_min, rep.witnesses["pt"]), (rep.pt_max, rep.witnesses["PT"])
+    return (fields["pt_min"], witnesses["pt"]), (fields["pt_max"], witnesses["PT"])
 
 
 @dataclass(frozen=True)
@@ -423,6 +428,23 @@ _PHASES = (
 )
 
 
+def _run_phases(g: Graph, meter: _Meter, phases, fields: dict, witnesses: dict):
+    """Run ``phases`` of ``_PHASES`` in order, each from the level where the
+    last one stopped, filling ``fields`` and ``witnesses`` as each value
+    becomes known."""
+    k = _zfs_lower_bound(g)
+    for connected, value, count_key, (lo, hi), (wk, wlo, whi), notes in phases:
+        meter.note = notes[0]
+        k, found = _min_level(g, meter, k, connected)
+        count, witness, (tmin, wmin), (tmax, wmax) = _level_summary(g.n, found)
+        fields[value], fields[count_key], witnesses[wk] = k, count, witness
+        # pt of every minimum set came with its closure; charge one each
+        meter.note = notes[1]
+        meter.charge(count)
+        fields[lo], fields[hi] = tmin, tmax
+        witnesses[wlo], witnesses[whi] = wmin, wmax
+
+
 def solve_report(
     g: Graph, limits: SolverLimits | None = None, jobs: int = 1
 ) -> SolveReport:
@@ -437,18 +459,8 @@ def solve_report(
     )
     witnesses = dict.fromkeys(("z", "z_c", "pt", "PT", "pt_c", "PT_c"))
     exceeded = False
-    k = _zfs_lower_bound(g)
     try:
-        for connected, value, count_key, (lo, hi), (wk, wlo, whi), notes in _PHASES:
-            meter.note = notes[0]
-            k, found = _min_level(g, meter, k, connected)
-            count, witness, (tmin, wmin), (tmax, wmax) = _level_summary(g.n, found)
-            fields[value], fields[count_key], witnesses[wk] = k, count, witness
-            # pt of every minimum set came with its closure; charge one each
-            meter.note = notes[1]
-            meter.charge(count)
-            fields[lo], fields[hi] = tmin, tmax
-            witnesses[wlo], witnesses[whi] = wmin, wmax
+        _run_phases(g, meter, _PHASES, fields, witnesses)
     except BudgetExceeded:
         exceeded = True
     return SolveReport(

@@ -2,6 +2,9 @@
 characterizations, over parameterized families and exhaustive labeled
 small graphs.
 
+The exhaustive claims are evaluated once per isomorphism class of labeled
+graphs; each labeled graph of a violating class is replayed on its own.
+
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
 via ``replay_claim``.  Claims marked hard are exact statements the suite
@@ -12,7 +15,7 @@ unstated hypotheses, and the findings document exactly where).
 
 from __future__ import annotations
 
-import multiprocessing as mp
+from array import array
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -27,8 +30,6 @@ from .solver import (
     solve_report,
     zero_forcing_number,
 )
-
-_EXH_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -75,32 +76,32 @@ def graph_to_instance(g: Graph) -> str:
     return f"edges:n={g.n};" + ",".join(f"{u}-{v}" for u, v in g.edges())
 
 
-def _zs(instance: str) -> dict:
-    g = graph_from_instance(instance)
+def _zs(g: Graph) -> dict:
     z, _ = zero_forcing_number(g)
     z_c, _ = connected_zero_forcing_number(g)
     return {"z": z, "z_c": z_c}
 
 
-def _z_only(instance: str) -> dict:
-    g = graph_from_instance(instance)
+def _z_only(g: Graph) -> dict:
     z, _ = zero_forcing_number(g)
     return {"z": z}
 
 
-def _zc_only(instance: str) -> dict:
-    g = graph_from_instance(instance)
+def _zc_only(g: Graph) -> dict:
     z_c, _ = connected_zero_forcing_number(g)
     return {"z_c": z_c}
 
 
-def _order_pair(instance: str) -> dict:
-    return _zs(instance)
+def _on_report(fields):
+    """Claim compute function that passes ``fields`` the graph's report."""
+    return lambda g: fields(g, solve_report(g))
 
 
-def _path_equivalence(instance: str) -> dict:
-    g = graph_from_instance(instance)
-    rep = solve_report(g)
+def _order_pair(g: Graph, rep) -> dict:
+    return {"z": rep.z, "z_c": rep.z_c}
+
+
+def _path_equivalence(g: Graph, rep) -> dict:
     return {
         "n": g.n,
         "z_c": rep.z_c,
@@ -110,9 +111,7 @@ def _path_equivalence(instance: str) -> dict:
     }
 
 
-def _max_shape(instance: str) -> dict:
-    g = graph_from_instance(instance)
-    rep = solve_report(g)
+def _max_shape(g: Graph, rep) -> dict:
     form = recognize_extremal_form(g)
     return {
         "n": g.n,
@@ -122,14 +121,23 @@ def _max_shape(instance: str) -> dict:
     }
 
 
-def _min_shape(instance: str) -> dict:
-    g = graph_from_instance(instance)
-    rep = solve_report(g)
+def _min_shape(g: Graph, rep) -> dict:
     return {
         "n": g.n,
         "pt_c": rep.ptc_min,
         "accepted": min_extremal_spec(g) is not None,
     }
+
+
+# exhaustive claim -> its fields from a graph and its report
+_EXHAUSTIVE_CLAIMS = {
+    "order/z-le-zc": _order_pair,
+    "path/four-equivalence": _path_equivalence,
+    "extremal/max-time-shape": _max_shape,
+    "extremal/min-time-shape": _min_shape,
+}
+# exhaustive claims that speak of connected graphs only
+_CONNECTED_ONLY = ("path/four-equivalence", "extremal/min-time-shape")
 
 
 def _eval_equal(expected: dict, computed: dict) -> bool:
@@ -168,7 +176,7 @@ def _eval_min_shape(expected: dict, computed: dict) -> bool:
     return (computed["pt_c"] == computed["n"] - 2) == computed["accepted"]
 
 
-# claim -> (compute fn, evaluator, relation string, hard)
+# claim -> (compute fn of the instance's graph, evaluator, relation string, hard)
 CLAIMS = {
     "named/path": (_zs, _eval_equal, "=", True),
     "named/cycle": (_zs, _eval_equal, "=", True),
@@ -188,17 +196,17 @@ CLAIMS = {
     "corona/zc-bound-as-stated": (_zc_only, _eval_at_most, "<=", False),
     "corona/cycle-path-values": (_zs, _eval_equal, "=", True),
     "corona/path-cycle-values": (_zs, _eval_equal, "=", True),
-    "order/z-le-zc": (_order_pair, _eval_order, "<=", True),
-    "path/four-equivalence": (_path_equivalence, _eval_path_equiv, "iff", True),
-    "extremal/max-time-shape": (_max_shape, _eval_max_shape, "iff", False),
-    "extremal/min-time-shape": (_min_shape, _eval_min_shape, "iff", False),
+    "order/z-le-zc": (_on_report(_order_pair), _eval_order, "<=", True),
+    "path/four-equivalence": (_on_report(_path_equivalence), _eval_path_equiv, "iff", True),
+    "extremal/max-time-shape": (_on_report(_max_shape), _eval_max_shape, "iff", False),
+    "extremal/min-time-shape": (_on_report(_min_shape), _eval_min_shape, "iff", False),
 }
 
 
 def _check(claim: str, instance: str, expected: dict) -> ClaimResult:
     compute, evaluate, relation, hard = CLAIMS[claim]
     try:
-        computed = compute(instance)
+        computed = compute(graph_from_instance(instance))
     except BudgetExceeded as exc:
         return ClaimResult(
             claim, instance, relation, expected, {"closures": exc.closures},
@@ -379,48 +387,65 @@ def _gencorona_parts(inst: str):
     return base, [parse_graph_dsl(p) for p in parts]
 
 
-_EXHAUSTIVE_CLAIMS = (
-    "order/z-le-zc",
-    "path/four-equivalence",
-    "extremal/max-time-shape",
-    "extremal/min-time-shape",
-)
-
-
 def _code_graph(n: int, pairs, code: int) -> Graph:
+    """Labeled graph of an edge-subset code: bit i selects ``pairs[i]``."""
     return new_graph(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
 
 
-def _exhaustive_chunk(args):
-    """Check one range of edge-subset codes; returns violation descriptors."""
-    n, start, stop, claims = args
+_UNMARKED = 0xFFFF
+
+
+def labeled_classes(n: int) -> tuple[list[int], array]:
+    """``(reps, ids)``: ``ids[code]`` is the isomorphism class of each
+    edge-subset code on n vertices (bit i selects the i-th pair of
+    ``combinations(range(n), 2)``), and ``reps[c]`` is the least code of
+    class c.  The walk ascends; each unmarked code starts a class, whose
+    orbit under S_n is closed over the n - 1 adjacent transpositions,
+    applied to a code through one 256-entry table per byte.
+    """
     pairs = list(combinations(range(n), 2))
-    violations = {c: [] for c in claims}
-    for code in range(start, stop):
-        g = _code_graph(n, pairs, code)
-        rep = solve_report(g)
-        connected = is_connected(g)
-        inst = graph_to_instance(g)
-        if "order/z-le-zc" in claims and not rep.z <= rep.z_c:
-            violations["order/z-le-zc"].append(inst)
-        if "path/four-equivalence" in claims and connected:
-            flags = {
-                rep.z_c == 1,
-                rep.ptc_min == g.n - 1,
-                rep.ptc_max == g.n - 1,
-                is_path_graph(g),
-            }
-            if len(flags) != 1:
-                violations["path/four-equivalence"].append(inst)
-        if "extremal/max-time-shape" in claims:
-            accepted = recognize_extremal_form(g).accepted
-            if (rep.ptc_max == g.n - 2) != accepted:
-                violations["extremal/max-time-shape"].append(inst)
-        if "extremal/min-time-shape" in claims and connected:
-            accepted = min_extremal_spec(g) is not None
-            if (rep.ptc_min == g.n - 2) != accepted:
-                violations["extremal/min-time-shape"].append(inst)
-    return violations
+    index = {p: i for i, p in enumerate(pairs)}
+    tables = []
+    for t in range(n - 1):
+        swap = {t: t + 1, t + 1: t}
+        image = [index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
+        tables.append([
+            [sum(1 << b for i, b in enumerate(image[lo : lo + 8]) if byte >> i & 1)
+             for byte in range(256)]
+            for lo in range(0, len(pairs), 8)
+        ])
+    # 16 bits hold the 12,346 classes of n = 8; n = 9 would need 2^36 codes
+    ids = array("H", [_UNMARKED]) * (1 << len(pairs))
+    reps = []
+    for code in range(len(ids)):
+        if ids[code] != _UNMARKED:
+            continue
+        ids[code] = cid = len(reps)
+        reps.append(code)
+        stack = [code]
+        while stack:
+            c = stack.pop()
+            for table in tables:
+                d, rest = 0, c
+                for byte_table in table:
+                    d |= byte_table[rest & 255]
+                    rest >>= 8
+                if ids[d] == _UNMARKED:
+                    ids[d] = cid
+                    stack.append(d)
+    return reps, ids
+
+
+def _violated_claims(g: Graph, claims) -> set[str]:
+    """The exhaustive claims among ``claims`` that g violates."""
+    rep = solve_report(g)
+    connected = is_connected(g)
+    return {
+        c
+        for c in claims
+        if (connected or c not in _CONNECTED_ONLY)
+        and not CLAIMS[c][1]({}, _EXHAUSTIVE_CLAIMS[c](g, rep))
+    }
 
 
 def exhaustive_small_graphs(
@@ -428,48 +453,28 @@ def exhaustive_small_graphs(
 ) -> list[ClaimResult]:
     """Run the exhaustive checks over every labeled graph on 1..n_max vertices.
 
-    Produces one summary row per (claim, n) plus one violated row per
-    counterexample; every violated row replays standalone.
+    The claims read only isomorphism invariants, so each class is evaluated
+    once, on its least code.  Produces one summary row per (claim, n) plus
+    one replayed violated row per labeled counterexample, in code order.
+    ``jobs`` is accepted for compatibility and has no effect.
     """
-    claims = tuple(claims) if claims is not None else _EXHAUSTIVE_CLAIMS
+    claims = tuple(claims) if claims is not None else tuple(_EXHAUSTIVE_CLAIMS)
     out = []
-    pool = None
-    try:
-        if jobs > 1:
-            pool = mp.get_context("fork").Pool(jobs)
-        for n in range(1, n_max + 1):
-            total = 1 << (n * (n - 1) // 2)
-            chunks = [
-                (n, s, min(s + _EXH_CHUNK, total), claims)
-                for s in range(0, total, _EXH_CHUNK)
+    for n in range(1, n_max + 1):
+        pairs = list(combinations(range(n), 2))
+        reps, ids = labeled_classes(n)
+        violated = [_violated_claims(_code_graph(n, pairs, code), claims) for code in reps]
+        for c in claims:
+            _, _, relation, hard = CLAIMS[c]
+            found = [
+                graph_to_instance(_code_graph(n, pairs, code))
+                for code, cid in enumerate(ids)
+                if c in violated[cid]
             ]
-            if pool is None:
-                chunk_results = map(_exhaustive_chunk, chunks)
-            else:
-                chunk_results = pool.imap(_exhaustive_chunk, chunks)
-            violations = {c: [] for c in claims}
-            for res in chunk_results:
-                for c in claims:
-                    violations[c].extend(res[c])
-            for c in claims:
-                _, _, relation, hard = CLAIMS[c]
-                out.append(
-                    ClaimResult(
-                        claim=c,
-                        instance=f"all-labeled(n={n})",
-                        relation=relation,
-                        expected={},
-                        computed={"graphs": total, "violations": len(violations[c])},
-                        verdict="holds" if not violations[c] else "violated",
-                        hard=hard,
-                    )
-                )
-                for inst in violations[c]:
-                    out.append(_check(c, inst, {}))
-    finally:
-        if pool is not None:
-            pool.close()
-            pool.join()
+            summary = {"graphs": len(ids), "violations": len(found)}
+            verdict = "violated" if found else "holds"
+            out.append(ClaimResult(c, f"all-labeled(n={n})", relation, {}, summary, verdict, hard))
+            out.extend(_check(c, inst, {}) for inst in found)
     return out
 
 

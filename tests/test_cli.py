@@ -59,6 +59,16 @@ def test_enumerate(capsys):
     assert len(out.splitlines()) == 5
 
 
+def test_enumerate_budget_bounds_the_drain(capsys):
+    # 400,110 suffices for the Z_c value query but not for the level drain
+    code, out, err = run_cli(
+        capsys, "enumerate", "strong(cycle(5),path(4))", "--connected", "--budget", "400110"
+    )
+    assert code == 3 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "BudgetExceeded" and doc["closures"] == 400110
+
+
 def test_verify_named_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "named", "--format", "csv")
     assert code == 0

@@ -194,3 +194,33 @@ def test_tiny_budget_bounds_the_connected_search():
     with pytest.raises(BudgetExceeded):
         list(enumerate_min_czfs(g, 8, limits))
     assert time.perf_counter() - began < 5
+
+
+def test_enumerate_charges_its_drain(stream_setting):
+    """enumerate_min_czfs charges the value query through the first hit,
+    then every connected set of level Z_c, against one budget."""
+    for g in sample_graphs(12, 6, 9, 11):
+        zc, hits, before, level = reference_zc(g, solver._zfs_lower_bound(g))
+        query = before + [m for m, _ in level].index(hits[0][0]) + 1
+        whole = query + len(level)
+        limits = SolverLimits(max_closures=whole)
+        assert list(enumerate_min_czfs(g, zc, limits)) == [m for m, _ in hits]
+        for limit in (query, whole - 1):
+            with pytest.raises(BudgetExceeded) as info:
+                list(enumerate_min_czfs(g, zc, SolverLimits(max_closures=limit)))
+            assert info.value.closures == limit
+
+
+def test_enumerate_budget_bounds_the_whole_call():
+    """On strong(C5, P4), 400,110 is the least budget under which the Z_c
+    value query passes; the drain of level 11 (24,050 minimum sets among
+    its connected sets) must not run on past it uncharged."""
+    g = parse_graph_dsl("strong(cycle(5),path(4))")
+    assert connected_zero_forcing_number(g, SolverLimits(max_closures=400110))[0] == 11
+    with pytest.raises(BudgetExceeded):
+        connected_zero_forcing_number(g, SolverLimits(max_closures=400109))
+    with pytest.raises(BudgetExceeded) as info:
+        list(enumerate_min_czfs(g, 11, SolverLimits(max_closures=400110)))
+    assert info.value.closures == 400110
+    whole = SolverLimits(max_closures=400110 + len(connected_in_components_sets(g, 11)))
+    assert len(list(enumerate_min_czfs(g, 11, whole))) == 24050

@@ -22,6 +22,7 @@ from zeroforcing.solver import (
     BudgetExceeded,
     SolverLimits,
     enumerate_min_zfs,
+    propagation_extrema,
     solve_report,
     zero_forcing_number,
 )
@@ -177,6 +178,49 @@ def test_drain_budget_edges(stream_setting):
             assert (rep.pt_min is not None) == (limit >= pt_done)
             if rep.z is not None:
                 assert rep.min_zfs_count == len(hits)
+
+
+def test_enumerate_charges_its_drain(stream_setting):
+    """enumerate_min_zfs charges the value query through the first hit,
+    then every set of level Z, against one budget."""
+    rnd = random.Random(12)
+    for _ in range(6):
+        g = random_graph(rnd, rnd.randint(9, 11))
+        z, hits, before, level = reference_z(g)
+        query = before + [m for m, _ in level].index(hits[0][0]) + 1
+        whole = query + len(level)
+        limits = SolverLimits(max_closures=whole)
+        assert list(enumerate_min_zfs(g, z, limits)) == [m for m, _ in hits]
+        for limit in (query, whole - 1):
+            with pytest.raises(BudgetExceeded) as info:
+                list(enumerate_min_zfs(g, z, SolverLimits(max_closures=limit)))
+            assert info.value.closures == limit
+
+
+def test_propagation_extrema_runs_only_the_phases_it_needs():
+    """propagation_extrema gives solve_report's values and witnesses and
+    charges as solve_report does, up to the phase asked for: pt and PT need
+    the Z phase alone."""
+    rnd = random.Random(13)
+    for _ in range(8):
+        g = random_graph(rnd, rnd.randint(8, 12))
+        rep = solve_report(g)
+        w = rep.witnesses
+        z, hits, before, level = reference_z(g)
+        z_phase = before + len(level) + len(hits)
+        plain = ((rep.pt_min, w["pt"]), (rep.pt_max, w["PT"]))
+        assert propagation_extrema(g) == plain
+        assert propagation_extrema(g, limits=SolverLimits(max_closures=z_phase)) == plain
+        for limit in (before + 1, z_phase - 1):
+            with pytest.raises(BudgetExceeded) as info:
+                propagation_extrema(g, limits=SolverLimits(max_closures=limit))
+            assert info.value.closures == limit
+        connected = ((rep.ptc_min, w["pt_c"]), (rep.ptc_max, w["PT_c"]))
+        limits = SolverLimits(max_closures=rep.closures)
+        assert propagation_extrema(g, connected=True, limits=limits) == connected
+        limits = SolverLimits(max_closures=rep.closures - 1)
+        with pytest.raises(BudgetExceeded):
+            propagation_extrema(g, connected=True, limits=limits)
 
 
 def test_tiny_budget_on_a_huge_level_returns_fast():
