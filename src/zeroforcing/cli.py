@@ -20,11 +20,9 @@ from .solver import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     SolverLimits,
-    connected_zero_forcing_number,
     enumerate_min_czfs,
     enumerate_min_zfs,
     solve_report,
-    zero_forcing_number,
 )
 from .verify import csv_summary, has_hard_violations, run_suites
 
@@ -173,14 +171,8 @@ def _cmd_trace(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args)
     limits = SolverLimits(max_closures=_budget(args))
-    connected = args.min_czfs or args.connected
-    if connected:
-        k, _ = connected_zero_forcing_number(g, limits)
-        stream = enumerate_min_czfs(g, k, limits)
-    else:
-        k, _ = zero_forcing_number(g, limits)
-        stream = enumerate_min_zfs(g, k, limits)
-    lines = [",".join(map(str, vertices_of(m))) for m in stream]
+    enumerate_min = enumerate_min_czfs if args.min_czfs or args.connected else enumerate_min_zfs
+    lines = [",".join(map(str, vertices_of(m))) for m in enumerate_min(g, limits=limits)]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -84,40 +84,48 @@ def _batch_rounds(nbrs, cols: list[int], ones: int) -> list[int]:
     Returns ``done`` where ``done[t]`` holds the colorings that turn all
     black after exactly t rounds; a coloring in no entry gets stuck.  The
     list stops at its last nonempty entry, so ``done[-1]`` is nonzero iff
-    some coloring forces.  ``cols`` is consumed.
+    some coloring forces.  Bits of ``cols`` outside ``ones`` are ignored.
     """
-    n = len(cols)
+    # cols is kept beside white: cols[u] & pending costs one big-int
+    # operation, pending & ~white[u] two
+    cols = [c & ones for c in cols]
     white = [ones ^ c for c in cols]
+    verts = range(len(cols))
     pending = 0
     for w in white:
         pending |= w
     done = [ones & ~pending]
+    force = [0] * len(cols)
     while pending:
-        add = [0] * n
-        for u in range(n):
+        # force[u]: the colorings where u is black with exactly one white
+        # neighbor, by a saturating count (at least one, at least two)
+        for u in verts:
             bu = cols[u] & pending
-            if not bu:
-                continue
-            # saturating count of white neighbors: at least one, at least two
-            one = two = 0
-            for w in nbrs[u]:
-                x = white[w]
-                two |= one & x
-                one |= x
-            force = bu & one & ~two
-            if force:
+            if bu:
+                one = two = 0
                 for w in nbrs[u]:
-                    add[w] |= force & white[w]
-        moved = 0
-        for v in range(n):
-            a = add[v]
-            if a:
-                cols[v] |= a
-                white[v] ^= a
-                moved |= a
-        still = 0
-        for w in white:
-            still |= w
+                    x = white[w]
+                    two |= one & x
+                    one |= x
+                # two is within one, so this is one & ~two
+                bu &= one ^ two
+            force[u] = bu
+        # a white vertex turns black where a neighbor forces: it is that
+        # neighbor's one white neighbor
+        moved = still = 0
+        for v in verts:
+            w = white[v]
+            if w:
+                pull = 0
+                for u in nbrs[v]:
+                    pull |= force[u]
+                pull &= w
+                if pull:
+                    w ^= pull
+                    white[v] = w
+                    cols[v] |= pull
+                    moved |= pull
+                still |= w
         done.append(pending & ~still)
         # a coloring that gained nothing this round is at its fixpoint
         pending = still & moved

@@ -7,7 +7,9 @@ of set: the k-sets of a level are closed in runs of up to ``_LEVEL_WIDTH``
 sets per call of the bit-sliced kernel, which also yields every set's
 propagation time.  For connected sets the stream first keeps, per run,
 the sets that the bit-sliced connectivity kernel finds connected in
-components, and closes only those.
+components, and closes only those.  ``solve_report`` closes level Z once:
+since Z <= Z_c, its connected phase starts there and masks the Z phase's
+round bitmaps with each run's connectivity mask instead of closing again.
 
 Work is metered in candidate evaluations (one closure per candidate, one
 per propagation-time measurement).  Charging follows the deterministic
@@ -174,35 +176,52 @@ def _level_columns(g: Graph, k: int, connected: bool):
         yield run, cols, ones
 
 
-def _level_stream(g: Graph, k: int, connected: bool = False):
+def _level_stream(g: Graph, k: int, connected: bool = False, closed=None):
     """Yield ``(run, ones, done)`` for each run of level k, in stream order.
 
     ``ones`` holds the run's sets in the stream (see ``_level_columns``);
     ``done`` is the per-round finished bitmap of ``_batch_rounds`` on them:
     bit j of ``done[t]`` says the run's j-th set forces g in exactly t rounds.
+    ``closed`` maps the runs of level k that hold a zero forcing set to
+    their ``done`` over all k-sets.  With it the stream closes nothing and
+    restricts those bitmaps to ``ones``: every column of the kernel evolves
+    on its own, so a set's rounds do not depend on the other sets of its run.
     """
     n = g.n
     if comb(n, k) > _SCALAR_LEVEL:
         nbrs = _shape(g)[0]
         for run, cols, ones in _level_columns(g, k, connected):
-            done = _batch_rounds(nbrs, [c & ones for c in cols], ones) if ones else [0]
+            if closed is not None:
+                done = _restrict(closed.get(run, (0,)), ones)
+            else:
+                done = _batch_rounds(nbrs, cols, ones) if ones else [0]
             yield run, ones, done
         return
-    # a kernel call costs more than these few sets: fill done set by set
     masks, cols = _small_level(n, k)
+    run = (0, 0, k, len(masks))
     ones = (1 << len(masks)) - 1
-    kept = enumerate(masks)
     if connected:
         ones = connected_columns(*_shape(g), cols, ones)
-        kept = [(j, m) for j, m in kept if ones >> j & 1]
+    if closed is not None:
+        yield run, ones, _restrict(closed.get(run, (0,)), ones)
+        return
+    # a kernel call costs more than these few sets: fill done set by set
     adj, full = g.adj, g.full_mask
     done = [0]
-    for j, m in kept:
-        if _closure(adj, full, m) == full:
+    for j, m in enumerate(masks):
+        if ones >> j & 1 and _closure(adj, full, m) == full:
             t = _propagation_steps(adj, full, m)
             done.extend([0] * (t + 1 - len(done)))
             done[t] |= 1 << j
-    yield (0, 0, k, len(masks)), ones, done
+    yield run, ones, done
+
+
+def _restrict(done, ones: int) -> list[int]:
+    """A run's ``done`` bitmaps restricted to the sets in ``ones``."""
+    out = [d & ones for d in done]
+    while len(out) > 1 and not out[-1]:
+        out.pop()
+    return out
 
 
 def _hits(done: list[int]) -> int:
@@ -222,7 +241,7 @@ def connected_in_components_sets(g: Graph, k: int) -> list[int]:
     A set qualifies when its intersection with every component it meets
     induces a connected subgraph; components it misses do not veto.
     """
-    if k < 1:
+    if not 1 <= k <= g.n:
         return []
     return [
         m
@@ -267,31 +286,32 @@ def connected_zero_forcing_number(
     return _first_hit(g, _Meter(limits), connected=True)
 
 
-def _enumerate_min(g: Graph, k: int, limits: SolverLimits | None, connected: bool):
-    """The value query, then a drain of level k that charges one per set in
-    stream order; one meter bounds both."""
+def _enumerate_min(g: Graph, k: int | None, limits: SolverLimits | None, connected: bool):
+    """The value query, then a drain of its level that charges one per set
+    in stream order; one meter bounds both."""
     kind = "minimum connected zero forcing sets" if connected else "minimum zero forcing sets"
     meter = _Meter(limits)
     z, _ = _first_hit(g, meter, connected)
-    if k != z:
+    if k is not None and k != z:
         raise WrongSize(f"{kind} have size {z}, not {k}")
     meter.note = kind
-    for run, ones, done in _level_stream(g, k, connected):
+    for run, ones, done in _level_stream(g, z, connected):
         meter.charge(ones.bit_count())
         yield from _unrank_bits(g.n, run, _hits(done))
 
 
-def enumerate_min_zfs(g: Graph, k: int, limits: SolverLimits | None = None):
+def enumerate_min_zfs(g: Graph, k: int | None = None, limits: SolverLimits | None = None):
     """Yield every minimum zero forcing set, lexicographic order.
 
-    ``k`` must equal the zero forcing number; WrongSize otherwise.  The
-    budget bounds the value query and the drain together.
+    ``k`` must equal the zero forcing number, WrongSize otherwise; None
+    stands for it.  The budget bounds the value query and the drain together.
     """
     return _enumerate_min(g, k, limits, connected=False)
 
 
-def enumerate_min_czfs(g: Graph, k: int, limits: SolverLimits | None = None):
-    """Yield every minimum connected zero forcing set, lexicographic order."""
+def enumerate_min_czfs(g: Graph, k: int | None = None, limits: SolverLimits | None = None):
+    """Yield every minimum connected zero forcing set, lexicographic order;
+    ``k`` as for ``enumerate_min_zfs``."""
     return _enumerate_min(g, k, limits, connected=True)
 
 
@@ -381,18 +401,21 @@ class SolveReport:
         }
 
 
-def _min_level(g: Graph, meter: _Meter, start: int, connected: bool):
+def _min_level(g: Graph, meter: _Meter, start: int, connected: bool, closed=None):
     """Drain the levels from ``start`` up to the first one that holds a
     (connected) zero forcing set; returns its size and the ``(run, done)``
-    pairs that hold one.  Charges one per set in the stream."""
+    pairs that hold one.  Charges one per set in the stream.  ``closed``,
+    if given, holds the bitmaps of level ``start`` (see ``_level_stream``).
+    """
     for k in range(start, g.n + 1):
         found = []
-        for run, ones, done in _level_stream(g, k, connected):
+        for run, ones, done in _level_stream(g, k, connected, closed):
             meter.charge(ones.bit_count())
             if done[-1]:
                 found.append((run, done))
         if found:
             return k, found
+        closed = None
     raise AssertionError("the full vertex set always forces")
 
 
@@ -432,10 +455,13 @@ def _run_phases(g: Graph, meter: _Meter, phases, fields: dict, witnesses: dict):
     """Run ``phases`` of ``_PHASES`` in order, each from the level where the
     last one stopped, filling ``fields`` and ``witnesses`` as each value
     becomes known."""
-    k = _zfs_lower_bound(g)
+    k, closed = _zfs_lower_bound(g), None
     for connected, value, count_key, (lo, hi), (wk, wlo, whi), notes in phases:
         meter.note = notes[0]
-        k, found = _min_level(g, meter, k, connected)
+        # Z <= Z_c: the connected phase starts on the level that the Z phase
+        # has just closed, and reuses its bitmaps
+        k, found = _min_level(g, meter, k, connected, closed)
+        closed = dict(found)
         count, witness, (tmin, wmin), (tmax, wmax) = _level_summary(g.n, found)
         fields[value], fields[count_key], witnesses[wk] = k, count, witness
         # pt of every minimum set came with its closure; charge one each

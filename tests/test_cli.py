@@ -2,6 +2,7 @@ import json
 import subprocess
 import sys
 
+import zeroforcing.solver as solver
 from zeroforcing.cli import main
 
 
@@ -67,6 +68,22 @@ def test_enumerate_budget_bounds_the_drain(capsys):
     assert code == 3 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "BudgetExceeded" and doc["closures"] == 400110
+
+
+def test_enumerate_runs_one_value_query(capsys, monkeypatch):
+    calls = []
+    first_hit = solver._first_hit
+
+    def counted(g, meter, connected):
+        calls.append(connected)
+        return first_hit(g, meter, connected)
+
+    monkeypatch.setattr(solver, "_first_hit", counted)
+    for flag, connected in (("--min-zfs", False), ("--connected", True)):
+        calls.clear()
+        code, out, _ = run_cli(capsys, "enumerate", "cycle(6)", flag)
+        assert code == 0 and out
+        assert calls == [connected]
 
 
 def test_verify_named_suite(capsys):

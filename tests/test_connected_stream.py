@@ -18,6 +18,7 @@ import zeroforcing.solver as solver
 from naive_oracle import min_forcing_sets, neighbor_sets, rounds_to_fill
 from test_level_stream import reference_level, reference_z
 from zeroforcing.dsl import parse_graph_dsl
+from zeroforcing.families import path
 from zeroforcing.graphs import components, is_connected_in_components, mask_of, new_graph
 from zeroforcing.solver import (
     BudgetExceeded,
@@ -109,6 +110,11 @@ def test_connected_sets_are_lexicographic(stream_setting):
             assert connected_in_components_sets(g, k) == want
 
 
+def test_connected_sets_above_the_order_are_empty():
+    assert connected_in_components_sets(path(4), 5) == []
+    assert connected_in_components_sets(path(4), 4) == [mask_of(range(4))]
+
+
 def test_matches_naive_oracle(stream_setting):
     for g in sample_graphs(31, 25, 1, 8):
         adj = neighbor_sets(g)
@@ -123,6 +129,59 @@ def test_matches_per_set_reference(stream_setting):
     for g in sample_graphs(7, 6, 10, 12):
         zc, hits, _, _ = reference_zc(g, solver._zfs_lower_bound(g))
         check_connected_queries(g, zc, [m for m, _ in hits], [t for _, t in hits])
+
+
+def test_connected_phase_reuses_level_z(stream_setting, monkeypatch):
+    """solve_report closes no set of level Z in its connected phase: it
+    masks the Z phase's bitmaps.  So when Z_c = Z the connected phase closes
+    nothing, and the report still matches the per-set references."""
+    calls, where = [], [None]
+    level_stream, batch_rounds, closure = (
+        solver._level_stream, solver._batch_rounds, solver._closure,
+    )
+
+    def tagged_stream(g, k, connected=False, *rest):
+        where[0] = (k, connected)
+        yield from level_stream(g, k, connected, *rest)
+
+    def counted(kernel):
+        def call(*args):
+            calls.append(where[0])
+            return kernel(*args)
+        return call
+
+    monkeypatch.setattr(solver, "_level_stream", tagged_stream)
+    monkeypatch.setattr(solver, "_batch_rounds", counted(batch_rounds))
+    monkeypatch.setattr(solver, "_closure", counted(closure))
+    equal = set()
+    for g in sample_graphs(13, 12, 4, 11):
+        z, zhits, zbefore, zlevel = reference_z(g)
+        zc, hits, before, level = reference_zc(g, z)
+        calls.clear()
+        rep = solve_report(g)
+        assert calls and (z, True) not in calls
+        if zc == z:
+            assert not [k for k, connected in calls if connected]
+        equal.add(zc == z)
+        zmasks, zpts = [m for m, _ in zhits], [t for _, t in zhits]
+        masks, pts = [m for m, _ in hits], [t for _, t in hits]
+        assert (rep.z, rep.min_zfs_count, rep.pt_min, rep.pt_max) == (
+            z, len(zhits), min(zpts), max(zpts),
+        )
+        assert (rep.z_c, rep.min_czfs_count, rep.ptc_min, rep.ptc_max) == (
+            zc, len(hits), min(pts), max(pts),
+        )
+        assert rep.witnesses == {
+            "z": zmasks[0],
+            "pt": zmasks[zpts.index(min(zpts))],
+            "PT": zmasks[zpts.index(max(zpts))],
+            "z_c": masks[0],
+            "pt_c": masks[pts.index(min(pts))],
+            "PT_c": masks[pts.index(max(pts))],
+        }
+        z_done = zbefore + len(zlevel) + len(zhits)
+        assert rep.closures == z_done + before + len(level) + len(hits)
+    assert equal == {True, False}
 
 
 def test_first_hit_budget_edges(stream_setting):

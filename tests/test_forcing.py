@@ -10,6 +10,8 @@ from naive_oracle import neighbor_sets
 from zeroforcing.families import complete, cycle, path, star, supertriangle
 from zeroforcing.forcing import (
     NotForcing,
+    _batch_rounds,
+    _propagation_steps,
     derived_coloring,
     derived_coloring_sequential,
     forces_one_round,
@@ -19,7 +21,7 @@ from zeroforcing.forcing import (
     propagation_trace,
     replay_trace,
 )
-from zeroforcing.graphs import mask_of, vertices_of
+from zeroforcing.graphs import mask_of, new_graph, vertices_of
 
 
 def test_forces_one_round_examples():
@@ -154,3 +156,34 @@ def test_round_count_bounds(gm):
         assert len(rnd) <= bin(black).count("1")
         for _, v in rnd:
             black |= 1 << v
+
+
+@st.composite
+def batch_colorings(draw):
+    """A graph with trailing isolated vertices, a list of colorings of it
+    (empty, full and arbitrary), and the colorings ``ones`` selects."""
+    g = draw(graphs(max_n=8))
+    isolated = draw(st.integers(min_value=0, max_value=2))
+    n = g.n + isolated
+    g = new_graph(n, [(u, v) for u in range(g.n) for v in vertices_of(g.adj[u]) if u < v])
+    full = (1 << n) - 1
+    coloring = st.one_of(st.just(0), st.just(full), st.integers(min_value=0, max_value=full))
+    masks = draw(st.lists(coloring, min_size=1, max_size=40))
+    ones = draw(st.integers(min_value=0, max_value=(1 << len(masks)) - 1))
+    return g, masks, ones
+
+
+@given(batch_colorings())
+def test_batch_rounds_matches_per_coloring_rounds(gmo):
+    """Bit j of done[t] iff coloring j is in ``ones`` and forces g in t
+    rounds; a coloring outside ``ones`` never shows, whatever its bits."""
+    g, masks, ones = gmo
+    nbrs = [vertices_of(a) for a in g.adj]
+    cols = [sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(g.n)]
+    want = [0]
+    for j, m in enumerate(masks):
+        t = _propagation_steps(g.adj, g.full_mask, m) if ones >> j & 1 else None
+        if t is not None:
+            want.extend([0] * (t + 1 - len(want)))
+            want[t] |= 1 << j
+    assert _batch_rounds(nbrs, cols, ones) == want

@@ -78,6 +78,13 @@ def test_enumerate_wrong_size():
         list(enumerate_min_czfs(cycle(4), 3))
 
 
+def test_enumerate_at_the_minimum_level_by_default():
+    for g in (path(5), cycle(4), star(6)):
+        z, zc = zero_forcing_number(g)[0], connected_zero_forcing_number(g)[0]
+        assert list(enumerate_min_zfs(g)) == list(enumerate_min_zfs(g, z))
+        assert list(enumerate_min_czfs(g)) == list(enumerate_min_czfs(g, zc))
+
+
 def test_enumerate_min_czfs_star():
     sets = [vertices_of(m) for m in enumerate_min_czfs(star(6), 5)]
     assert len(sets) == 5
