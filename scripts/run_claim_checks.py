@@ -21,12 +21,11 @@ def main() -> int:
     parser.add_argument("--suite", default="all",
                         choices=("named", "products", "exhaustive", "all"))
     parser.add_argument("--nmax", type=int, default=6)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("--out", help="write full JSON results here")
     args = parser.parse_args()
 
     start = time.monotonic()
-    results = run_suites(suite=args.suite, nmax=args.nmax, jobs=args.jobs)
+    results = run_suites(suite=args.suite, nmax=args.nmax)
     elapsed = time.monotonic() - start
 
     agg = {}

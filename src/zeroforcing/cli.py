@@ -178,11 +178,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suites(
-        suite=args.suite,
-        nmax=_at_least("--nmax", args.nmax, 1),
-        jobs=_at_least("--jobs", args.jobs, 1),
-    )
+    results = run_suites(suite=args.suite, nmax=_at_least("--nmax", args.nmax, 1))
     if args.format == "csv":
         _emit(csv_summary(results), args.out)
     else:
@@ -235,7 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="machine-check the bundled claims")
     p.add_argument("--suite", choices=("named", "products", "exhaustive", "all"), default="all")
     p.add_argument("--nmax", type=int, default=6)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_verify)

@@ -49,22 +49,17 @@ def mask_of(vertices) -> int:
     return m
 
 
-def vertices_of(mask: int) -> tuple[int, ...]:
-    """Sorted tuple of vertex ids in a bitset mask."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
-
-
 def iter_vertices(mask: int):
     """Yield vertex ids of a mask in increasing order."""
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
+
+
+def vertices_of(mask: int) -> tuple[int, ...]:
+    """Sorted tuple of vertex ids in a bitset mask."""
+    return tuple(iter_vertices(mask))
 
 
 @dataclass(frozen=True)
@@ -288,55 +283,96 @@ def is_path_graph(g: Graph) -> bool:
     return all(g.degree(v) <= 2 for v in range(g.n))
 
 
-def _iso_signature(g: Graph, v: int) -> tuple:
-    return (g.degree(v), tuple(sorted(g.degree(u) for u in iter_vertices(g.adj[v]))))
+def _refine(adj, cells: list[int], queue: list[int]) -> list[int]:
+    """Split the ordered partition ``cells`` (vertex masks) until it is
+    equitable, taking the splitters in ``queue`` first in, first out.
+
+    Splitting a cell by a splitter groups its vertices by their neighbor
+    count in the splitter; the pieces take the cell's place in ascending
+    count.  The caller queues every cell whose counts are not yet known to
+    be uniform.  The order of the result does not depend on vertex labels.
+    """
+    for w in queue:
+        near = 0
+        for u in iter_vertices(w):
+            near |= adj[u]
+        out = []
+        for c in cells:
+            hit = c & near
+            if hit and c & (c - 1):
+                # vertices of c outside ``near`` have no neighbor in w
+                groups = {0: c ^ hit} if hit != c else {}
+                for v in iter_vertices(hit):
+                    k = (adj[v] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | 1 << v
+                if len(groups) > 1:
+                    pieces = [groups[k] for k in sorted(groups)]
+                    out += pieces
+                    # counts into c are uniform or c is queued, so counts
+                    # into its largest piece follow from the others
+                    big = max(pieces, key=int.bit_count)
+                    queue += [p for p in pieces if p != big]
+                    continue
+            out.append(c)
+        cells = out
+    return cells
+
+
+def _greatest_code(adj, cells: list[int], queue: list[int]) -> int:
+    """Greatest adjacency code over the leaves of the individualize-and-refine
+    tree below ``cells``.  A leaf orders the vertices; its code is their
+    adjacency rows in that order, written as positions and concatenated."""
+    cells = _refine(adj, cells, queue)
+    i = next((i for i, c in enumerate(cells) if c & (c - 1)), None)
+    if i is None:
+        n = len(cells)
+        order = [c.bit_length() - 1 for c in cells]
+        bit = [0] * n
+        for p, v in enumerate(order):
+            bit[v] = 1 << p
+        code = 0
+        for v in order:
+            code <<= n
+            for u in iter_vertices(adj[v]):
+                code |= bit[u]
+        return code
+    c, best, tried = cells[i], -1, 0
+    for v in iter_vertices(c):
+        # swapping twins is an automorphism that keeps every cell, so a twin
+        # of a tried vertex roots a subtree with the same codes
+        if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in iter_vertices(tried)):
+            continue
+        tried |= 1 << v
+        branch = cells[:i] + [1 << v, c ^ 1 << v] + cells[i + 1 :]
+        best = max(best, _greatest_code(adj, branch, [1 << v]))
+    return best
+
+
+def certificate(g: Graph) -> tuple:
+    """Isomorphism certificate: two graphs get equal certificates iff they
+    are isomorphic.
+
+    A connected graph gets ``(n, code)``, with the greatest adjacency code
+    over the leaves of an individualize-and-refine search (McKay & Piperno,
+    "Practical graph isomorphism, II", 2014) that branches on the first
+    non-singleton cell of an equitable partition, on one vertex per twin
+    class (N(u) - {v} = N(v) - {u}).  A disconnected graph gets the sorted
+    certificates of its components.
+    """
+    comps = components(g)
+    if len(comps) > 1:
+        return tuple(sorted(certificate(induced_subgraph(g, c)[0]) for c in comps))
+    return g.n, _greatest_code(g.adj, [g.full_mask], [g.full_mask])
 
 
 def are_isomorphic(g: Graph, h: Graph, limit: int = ISO_DEFAULT_LIMIT) -> bool:
-    """Exact isomorphism test by backtracking, intended for small orders.
+    """Exact isomorphism test by certificate, intended for small orders.
 
     Raises TooLarge when either graph exceeds ``limit`` vertices.
     """
     if g.n > limit or h.n > limit:
         raise TooLarge(f"isomorphism limited to {limit} vertices")
-    if g.n != h.n or g.edge_count() != h.edge_count():
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    n = g.n
-    sig_g = [_iso_signature(g, v) for v in range(n)]
-    sig_h = [_iso_signature(h, v) for v in range(n)]
-    if sorted(sig_g) != sorted(sig_h):
-        return False
-    candidates = [[w for w in range(n) if sig_h[w] == sig_g[v]] for v in range(n)]
-    order = sorted(range(n), key=lambda v: len(candidates[v]))
-    mapping = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            ok = True
-            for u in range(n):
-                mu = mapping[u]
-                if mu != -1 and (g.adj[v] >> u & 1) != (h.adj[w] >> mu & 1):
-                    ok = False
-                    break
-            if not ok:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if extend(i + 1):
-                return True
-            mapping[v] = -1
-            used[w] = False
-        return False
-
-    return extend(0)
+    return g.degree_sequence() == h.degree_sequence() and certificate(g) == certificate(h)
 
 
 def parse_edge_list(text: str) -> Graph:

@@ -9,8 +9,9 @@ additionally requires specific chords on the first cycle: both end vertices
 of the u-run joined to v_2 when k = 1, the v_1-side end joined to v_2 when
 k > 1 (vacuous when the first cycle is a triangle).
 
-Recognition is generate-and-test: all parameter tuples matching the order
-and edge count are enumerated, built, and compared by isomorphism.
+Recognition is a lookup: every shape spec of the graph's order and edge
+count is built once into a catalog keyed by degree sequence, then by
+isomorphism certificate.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .families import PCSpec, pc_graph
 from .graphs import (
     Graph,
     TooLarge,
-    are_isomorphic,
+    certificate,
     components,
     induced_subgraph,
     is_path_graph,
@@ -72,25 +73,19 @@ def _chorded_specs(cycles: tuple[int, ...], chord_count: int, tail):
         yield PCSpec(cycles, tuple(tuple(c) for c in chords), tail)
 
 
-def _shape_specs(n: int, m: int, any_last_cycle: bool = False):
-    """Candidate extremal-shape specs with order n and edge count m.
+def _shape_specs(n: int, m: int):
+    """Path-cycle specs with order n and edge count m, any last cycle,
+    optionally tailed at v_{k+1}.
 
     A chordless path-cycle graph on cycles (n_1..n_k) has 2k+1+sum(n_i)
-    edges; each chord adds one and a tail of length t adds t-1.  Tail-less
-    specs require a triangle as the last cycle unless ``any_last_cycle``.
+    edges; each chord adds one and a tail of length t adds t-1.
     """
     for k in range(1, n - 1):
         budget = n - (k + 2)
         if budget < 0:
             break
         # tail-less shapes
-        if any_last_cycle:
-            heads = _compositions(budget, k)
-        elif k > 1:
-            heads = (h + (0,) for h in _compositions(budget, k - 1))
-        else:
-            heads = iter([(0,)]) if budget == 0 else iter(())
-        for cycles in heads:
+        for cycles in _compositions(budget, k):
             chord_count = m - (2 * k + 1 + sum(cycles))
             if chord_count < 0:
                 continue
@@ -116,25 +111,27 @@ def _meets_min_chord_conditions(spec: PCSpec) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _max_shape_catalog(n: int, m: int) -> tuple:
-    """(degree sequence, graph, spec) for every candidate shape at (n, m)."""
-    entries = []
+def _catalog(n: int, m: int) -> dict:
+    """degree sequence -> certificate -> (max-shape spec or None, whether
+    some representation fails the minimum-time chord conditions), over
+    ``_shape_specs(n, m)``.  The max shapes are the specs with a tail or a
+    triangle last; the spec kept is the first one in spec order."""
+    catalog = {}
     for spec in _shape_specs(n, m):
         g = pc_graph(spec)
-        entries.append((g.degree_sequence(), g, spec))
-    return tuple(entries)
+        shapes = catalog.setdefault(g.degree_sequence(), {})
+        cert = certificate(g)
+        first, fails = shapes.get(cert, (None, False))
+        if first is None and (spec.tail is not None or spec.cycles[-1] == 0):
+            first = spec
+        shapes[cert] = (first, fails or not _meets_min_chord_conditions(spec))
+    return catalog
 
 
-@lru_cache(maxsize=None)
-def _conditioned_catalog(n: int, m: int) -> tuple:
-    """Every representation the first-cycle chord conditions quantify over:
-    any cycle tuple, optionally tailed at v_{k+1} (a trivial tail covers the
-    plain case)."""
-    entries = []
-    for spec in _shape_specs(n, m, any_last_cycle=True):
-        g = pc_graph(spec)
-        entries.append((g.degree_sequence(), g, spec))
-    return tuple(entries)
+def _lookup(g: Graph) -> tuple:
+    """Catalog entry of a connected graph, ``(None, False)`` if none."""
+    shapes = _catalog(g.n, g.edge_count()).get(g.degree_sequence())
+    return shapes.get(certificate(g), (None, False)) if shapes else (None, False)
 
 
 def _is_isolated_plus_path(g: Graph) -> bool:
@@ -157,12 +154,11 @@ def recognize_extremal_form(g: Graph, limit: int = RECOGNIZER_LIMIT) -> Extremal
         if _is_isolated_plus_path(g):
             return ExtremalForm(FormKind.DISCONNECTED_CASE)
         return ExtremalForm(FormKind.NOT_EXTREMAL)
-    degseq = g.degree_sequence()
-    for cand_degseq, h, spec in _max_shape_catalog(g.n, g.edge_count()):
-        if cand_degseq == degseq and are_isomorphic(g, h, limit=limit):
-            kind = FormKind.PC_PLUS_TAIL if spec.tail is not None else FormKind.PC_FORM
-            return ExtremalForm(kind, spec)
-    return ExtremalForm(FormKind.NOT_EXTREMAL)
+    spec = _lookup(g)[0]
+    if spec is None:
+        return ExtremalForm(FormKind.NOT_EXTREMAL)
+    kind = FormKind.PC_PLUS_TAIL if spec.tail is not None else FormKind.PC_FORM
+    return ExtremalForm(kind, spec)
 
 
 def min_extremal_spec(g: Graph, limit: int = RECOGNIZER_LIMIT) -> PCSpec | None:
@@ -177,15 +173,5 @@ def min_extremal_spec(g: Graph, limit: int = RECOGNIZER_LIMIT) -> PCSpec | None:
         raise TooLarge(f"recognition limited to {limit} vertices")
     if len(components(g)) > 1:
         return None
-    form = recognize_extremal_form(g, limit=limit)
-    if form.spec is None:
-        return None
-    degseq = g.degree_sequence()
-    for cand_degseq, h, spec in _conditioned_catalog(g.n, g.edge_count()):
-        if (
-            not _meets_min_chord_conditions(spec)
-            and cand_degseq == degseq
-            and are_isomorphic(g, h, limit=limit)
-        ):
-            return None
-    return form.spec
+    spec, fails = _lookup(g)
+    return None if fails else spec

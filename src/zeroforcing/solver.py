@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .forcing import _batch_rounds, _closure, _propagation_steps
+from .forcing import _batch_rounds, _propagation_steps
 from .graphs import Graph, components, connected_columns, mask_of, vertices_of
 
 DEFAULT_BUDGET = 10**8
@@ -209,8 +209,8 @@ def _level_stream(g: Graph, k: int, connected: bool = False, closed=None):
     adj, full = g.adj, g.full_mask
     done = [0]
     for j, m in enumerate(masks):
-        if ones >> j & 1 and _closure(adj, full, m) == full:
-            t = _propagation_steps(adj, full, m)
+        t = _propagation_steps(adj, full, m) if ones >> j & 1 else None
+        if t is not None:
             done.extend([0] * (t + 1 - len(done)))
             done[t] |= 1 << j
     yield run, ones, done
@@ -287,16 +287,15 @@ def connected_zero_forcing_number(
 
 
 def _enumerate_min(g: Graph, k: int | None, limits: SolverLimits | None, connected: bool):
-    """The value query, then a drain of its level that charges one per set
-    in stream order; one meter bounds both."""
+    """Drain the levels up to the minimum one, charging one per set in
+    stream order, then yield that level's hits; each set is closed once."""
     kind = "minimum connected zero forcing sets" if connected else "minimum zero forcing sets"
     meter = _Meter(limits)
-    z, _ = _first_hit(g, meter, connected)
+    meter.note = kind
+    z, found = _min_level(g, meter, _zfs_lower_bound(g), connected)
     if k is not None and k != z:
         raise WrongSize(f"{kind} have size {z}, not {k}")
-    meter.note = kind
-    for run, ones, done in _level_stream(g, z, connected):
-        meter.charge(ones.bit_count())
+    for run, done in found:
         yield from _unrank_bits(g.n, run, _hits(done))
 
 
@@ -304,7 +303,7 @@ def enumerate_min_zfs(g: Graph, k: int | None = None, limits: SolverLimits | Non
     """Yield every minimum zero forcing set, lexicographic order.
 
     ``k`` must equal the zero forcing number, WrongSize otherwise; None
-    stands for it.  The budget bounds the value query and the drain together.
+    stands for it.  The budget bounds the drain of every level up to k.
     """
     return _enumerate_min(g, k, limits, connected=False)
 

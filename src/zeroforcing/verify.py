@@ -2,8 +2,10 @@
 characterizations, over parameterized families and exhaustive labeled
 small graphs.
 
-The exhaustive claims are evaluated once per isomorphism class of labeled
-graphs; each labeled graph of a violating class is replayed on its own.
+The exhaustive claims are evaluated once per isomorphism class, found by
+one-vertex augmentation and deduped by certificate (``graph_classes``);
+the findings are the relabelings of each violating class, and each such
+labeled graph is replayed on its own.
 
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
@@ -15,13 +17,13 @@ unstated hypotheses, and the findings document exactly where).
 
 from __future__ import annotations
 
-from array import array
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, permutations
 
 from . import families
 from .dsl import parse_graph_dsl
-from .graphs import Graph, is_connected, is_path_graph, new_graph
+from .graphs import Graph, certificate, is_connected, is_path_graph, new_graph
 from .recognize import min_extremal_spec, recognize_extremal_form
 from .solver import (
     BudgetExceeded,
@@ -291,17 +293,14 @@ _CARTESIAN_FACTOR_PAIRS = [
     ("path(2)", "cycle(4)"),
     ("star(4)", "path(3)"),
 ]
+# (base term, attachment terms)
 _GENCORONA_BOUND = [
-    "gencorona(path(2);path(2),path(2))",
-    "gencorona(cycle(3);path(2),path(2),path(2))",
-    "gencorona(path(3);path(2),cycle(3),path(3))",
-    "gencorona(path(2);complete(1),path(3))",
+    ("path(2)", ("path(2)", "path(2)")),
+    ("cycle(3)", ("path(2)", "path(2)", "path(2)")),
+    ("path(3)", ("path(2)", "cycle(3)", "path(3)")),
+    ("path(2)", ("complete(1)", "path(3)")),
 ]
-_GENCORONA_EQUALITY = [
-    "gencorona(path(2);path(2),path(2))",
-    "gencorona(cycle(3);path(2),path(2),path(2))",
-    "gencorona(path(3);path(2),cycle(3),path(3))",
-]
+_GENCORONA_EQUALITY = _GENCORONA_BOUND[:3]
 _CORONA_BOUNDS = [("cycle(5)", "path(3)"), ("path(3)", "cycle(6)"),
                   ("cycle(3)", "path(2)"), ("path(2)", "cycle(3)")]
 _CORONA_CYCLE_PATH = [(5, 3), (3, 2), (4, 2)]
@@ -337,13 +336,11 @@ def check_product_bounds() -> list[ClaimResult]:
         for m in range(1, 5):
             inst = f"strong(path({n}),path({m}))"
             out.append(_check("product/strong-grid", inst, {"bound": n + m - 1}))
-    for inst in _GENCORONA_BOUND:
-        g, hs = _gencorona_parts(inst)
-        bound = g.n + sum(zero_forcing_number(h)[0] for h in hs)
+    for base, parts in _GENCORONA_BOUND:
+        inst, bound = _gencorona_claim(base, parts)
         out.append(_check("gencorona/zc-bound", inst, {"bound": bound}))
-    for inst in _GENCORONA_EQUALITY:
-        g, hs = _gencorona_parts(inst)
-        value = g.n + sum(zero_forcing_number(h)[0] for h in hs)
+    for base, parts in _GENCORONA_EQUALITY:
+        inst, value = _gencorona_claim(base, parts)
         out.append(_check("gencorona/zc-equality", inst, {"z_c": value}))
     for a, b in _CORONA_BOUNDS:
         ga, gb = parse_graph_dsl(a), parse_graph_dsl(b)
@@ -366,74 +363,43 @@ def check_product_bounds() -> list[ClaimResult]:
     return out
 
 
-def _gencorona_parts(inst: str):
-    body = inst[len("gencorona(") : -1]
-    base_txt, _, rest = body.partition(";")
-    base = parse_graph_dsl(base_txt)
-    depth = 0
-    parts = []
-    cur = ""
-    for ch in rest:
-        if ch == "," and depth == 0:
-            parts.append(cur)
-            cur = ""
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur += ch
-    parts.append(cur)
-    return base, [parse_graph_dsl(p) for p in parts]
+def _gencorona_claim(base: str, parts) -> tuple[str, int]:
+    """Instance text of gencorona(base; parts) and |base| + sum of Z(part)."""
+    value = parse_graph_dsl(base).n
+    value += sum(zero_forcing_number(parse_graph_dsl(p))[0] for p in parts)
+    return f"gencorona({base};{','.join(parts)})", value
 
 
-def _code_graph(n: int, pairs, code: int) -> Graph:
-    """Labeled graph of an edge-subset code: bit i selects ``pairs[i]``."""
-    return new_graph(n, [pairs[i] for i in range(len(pairs)) if code >> i & 1])
+@lru_cache(maxsize=None)
+def graph_classes(n: int) -> tuple[Graph, ...]:
+    """One graph per isomorphism class of order n.
 
-
-_UNMARKED = 0xFFFF
-
-
-def labeled_classes(n: int) -> tuple[list[int], array]:
-    """``(reps, ids)``: ``ids[code]`` is the isomorphism class of each
-    edge-subset code on n vertices (bit i selects the i-th pair of
-    ``combinations(range(n), 2)``), and ``reps[c]`` is the least code of
-    class c.  The walk ascends; each unmarked code starts a class, whose
-    orbit under S_n is closed over the n - 1 adjacent transpositions,
-    applied to a code through one 256-entry table per byte.
+    Deleting a vertex of greatest degree from a graph of order n leaves one
+    of order n - 1, so every class arises from a class of order n - 1 by
+    adding a vertex of greatest degree; the candidates are deduped by
+    certificate.
     """
-    pairs = list(combinations(range(n), 2))
-    index = {p: i for i, p in enumerate(pairs)}
-    tables = []
-    for t in range(n - 1):
-        swap = {t: t + 1, t + 1: t}
-        image = [index[tuple(sorted((swap.get(u, u), swap.get(v, v))))] for u, v in pairs]
-        tables.append([
-            [sum(1 << b for i, b in enumerate(image[lo : lo + 8]) if byte >> i & 1)
-             for byte in range(256)]
-            for lo in range(0, len(pairs), 8)
-        ])
-    # 16 bits hold the 12,346 classes of n = 8; n = 9 would need 2^36 codes
-    ids = array("H", [_UNMARKED]) * (1 << len(pairs))
-    reps = []
-    for code in range(len(ids)):
-        if ids[code] != _UNMARKED:
-            continue
-        ids[code] = cid = len(reps)
-        reps.append(code)
-        stack = [code]
-        while stack:
-            c = stack.pop()
-            for table in tables:
-                d, rest = 0, c
-                for byte_table in table:
-                    d |= byte_table[rest & 255]
-                    rest >>= 8
-                if ids[d] == _UNMARKED:
-                    ids[d] = cid
-                    stack.append(d)
-    return reps, ids
+    if n == 1:
+        return (Graph(1, (0,)),)
+    classes = {}
+    for h in graph_classes(n - 1):
+        for nb in range(1 << (n - 1)):
+            d = nb.bit_count()
+            if all(a.bit_count() + (nb >> u & 1) <= d for u, a in enumerate(h.adj)):
+                adj = tuple(a | (nb >> u & 1) << (n - 1) for u, a in enumerate(h.adj))
+                g = Graph(n, adj + (nb,))
+                classes.setdefault(certificate(g), g)
+    return tuple(classes.values())
+
+
+def _orbit_codes(g: Graph, pairs) -> set[int]:
+    """Edge-subset codes (bit i selects ``pairs[i]``) of g's relabelings."""
+    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    edges = g.edges()
+    return {
+        sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
+        for p in permutations(range(g.n))
+    }
 
 
 def _violated_claims(g: Graph, claims) -> set[str]:
@@ -448,30 +414,31 @@ def _violated_claims(g: Graph, claims) -> set[str]:
     }
 
 
-def exhaustive_small_graphs(
-    n_max: int = 6, claims=None, jobs: int = 1
-) -> list[ClaimResult]:
+def exhaustive_small_graphs(n_max: int = 6, claims=None) -> list[ClaimResult]:
     """Run the exhaustive checks over every labeled graph on 1..n_max vertices.
 
-    The claims read only isomorphism invariants, so each class is evaluated
-    once, on its least code.  Produces one summary row per (claim, n) plus
-    one replayed violated row per labeled counterexample, in code order.
-    ``jobs`` is accepted for compatibility and has no effect.
+    The claims read only isomorphism invariants, so each class of
+    ``graph_classes`` is evaluated once.  Produces one summary row per
+    (claim, n) plus one replayed violated row per labeled counterexample:
+    the relabelings of the violating classes, in code order.
     """
     claims = tuple(claims) if claims is not None else tuple(_EXHAUSTIVE_CLAIMS)
     out = []
     for n in range(1, n_max + 1):
         pairs = list(combinations(range(n), 2))
-        reps, ids = labeled_classes(n)
-        violated = [_violated_claims(_code_graph(n, pairs, code), claims) for code in reps]
+        violated = [(g, _violated_claims(g, claims)) for g in graph_classes(n)]
         for c in claims:
             _, _, relation, hard = CLAIMS[c]
+            codes = set()
+            for g, bad in violated:
+                if c in bad:
+                    codes |= _orbit_codes(g, pairs)
             found = [
-                graph_to_instance(_code_graph(n, pairs, code))
-                for code, cid in enumerate(ids)
-                if c in violated[cid]
+                f"edges:n={n};"
+                + ",".join(f"{u}-{v}" for i, (u, v) in enumerate(pairs) if code >> i & 1)
+                for code in sorted(codes)
             ]
-            summary = {"graphs": len(ids), "violations": len(found)}
+            summary = {"graphs": 1 << len(pairs), "violations": len(found)}
             verdict = "violated" if found else "holds"
             out.append(ClaimResult(c, f"all-labeled(n={n})", relation, {}, summary, verdict, hard))
             out.extend(_check(c, inst, {}) for inst in found)
@@ -481,7 +448,6 @@ def exhaustive_small_graphs(
 def run_suites(
     suite: str = "all",
     nmax: int = 6,
-    jobs: int = 1,
     ranges: NamedRanges | None = None,
 ) -> list[ClaimResult]:
     """Run the requested suites and return results sorted by claim then
@@ -494,7 +460,7 @@ def run_suites(
     if suite in ("products", "all"):
         out.extend(check_product_bounds())
     if suite in ("exhaustive", "all"):
-        out.extend(exhaustive_small_graphs(nmax, jobs=jobs))
+        out.extend(exhaustive_small_graphs(nmax))
     out.sort(key=lambda r: (r.claim, r.instance))
     return out
 

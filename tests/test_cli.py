@@ -72,13 +72,14 @@ def test_enumerate_budget_bounds_the_drain(capsys):
 
 def test_enumerate_runs_one_value_query(capsys, monkeypatch):
     calls = []
-    first_hit = solver._first_hit
+    min_level = solver._min_level
 
-    def counted(g, meter, connected):
+    def counted(g, meter, start, connected, closed=None):
         calls.append(connected)
-        return first_hit(g, meter, connected)
+        return min_level(g, meter, start, connected, closed)
 
-    monkeypatch.setattr(solver, "_first_hit", counted)
+    monkeypatch.setattr(solver, "_min_level", counted)
+    monkeypatch.setattr(solver, "_first_hit", None)
     for flag, connected in (("--min-zfs", False), ("--connected", True)):
         calls.clear()
         code, out, _ = run_cli(capsys, "enumerate", "cycle(6)", flag)
@@ -201,7 +202,6 @@ def test_jobs_below_one_is_an_input_error(capsys):
     for argv in (
         ["compute", "path(3)", "--jobs", "0"],
         ["compute", "path(3)", "--jobs", "-2"],
-        ["verify", "--suite", "named", "--jobs", "0"],
     ):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == "", argv

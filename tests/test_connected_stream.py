@@ -136,8 +136,8 @@ def test_connected_phase_reuses_level_z(stream_setting, monkeypatch):
     masks the Z phase's bitmaps.  So when Z_c = Z the connected phase closes
     nothing, and the report still matches the per-set references."""
     calls, where = [], [None]
-    level_stream, batch_rounds, closure = (
-        solver._level_stream, solver._batch_rounds, solver._closure,
+    level_stream, batch_rounds, steps = (
+        solver._level_stream, solver._batch_rounds, solver._propagation_steps,
     )
 
     def tagged_stream(g, k, connected=False, *rest):
@@ -152,7 +152,7 @@ def test_connected_phase_reuses_level_z(stream_setting, monkeypatch):
 
     monkeypatch.setattr(solver, "_level_stream", tagged_stream)
     monkeypatch.setattr(solver, "_batch_rounds", counted(batch_rounds))
-    monkeypatch.setattr(solver, "_closure", counted(closure))
+    monkeypatch.setattr(solver, "_propagation_steps", counted(steps))
     equal = set()
     for g in sample_graphs(13, 12, 4, 11):
         z, zhits, zbefore, zlevel = reference_z(g)
@@ -256,18 +256,16 @@ def test_tiny_budget_bounds_the_connected_search():
 
 
 def test_enumerate_charges_its_drain(stream_setting):
-    """enumerate_min_czfs charges the value query through the first hit,
-    then every connected set of level Z_c, against one budget."""
+    """enumerate_min_czfs charges every connected set below level Z_c, then
+    every connected set of level Z_c once, against one budget."""
     for g in sample_graphs(12, 6, 9, 11):
         zc, hits, before, level = reference_zc(g, solver._zfs_lower_bound(g))
-        query = before + [m for m, _ in level].index(hits[0][0]) + 1
-        whole = query + len(level)
+        whole = before + len(level)
         limits = SolverLimits(max_closures=whole)
         assert list(enumerate_min_czfs(g, zc, limits)) == [m for m, _ in hits]
-        for limit in (query, whole - 1):
-            with pytest.raises(BudgetExceeded) as info:
-                list(enumerate_min_czfs(g, zc, SolverLimits(max_closures=limit)))
-            assert info.value.closures == limit
+        with pytest.raises(BudgetExceeded) as info:
+            list(enumerate_min_czfs(g, zc, SolverLimits(max_closures=whole - 1)))
+        assert info.value.closures == whole - 1
 
 
 def test_enumerate_budget_bounds_the_whole_call():

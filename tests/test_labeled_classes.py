@@ -1,28 +1,40 @@
-"""The isomorphism-class walk behind the exhaustive suite.
+"""Isomorphism classes and the certificate behind them.
 
-``labeled_classes`` is checked against OEIS A000088 and against
-``are_isomorphic``.  ``exhaustive_small_graphs`` is checked against a
-reference that evaluates every claim on every labeled graph on its own.
+``graph_classes`` is checked against OEIS A000088, against the orbits of
+every labeled graph, and against ``networkx``'s graph atlas.
+``certificate`` is checked for invariance under relabeling, against
+brute-force permutation isomorphism, and for speed on symmetric graphs.
+``exhaustive_small_graphs`` is checked against a reference that evaluates
+every claim on every labeled graph on its own.
 """
 
-from array import array
-from collections import Counter
-from itertools import combinations
+import random
+import time
+from itertools import combinations, permutations
 from math import comb, factorial
 
 import pytest
 
 import zeroforcing.verify as verify
-from zeroforcing.graphs import are_isomorphic, is_connected, is_path_graph, new_graph
+from zeroforcing.families import cartesian, complete, complete_multipartite, cycle, star
+from zeroforcing.graphs import (
+    are_isomorphic,
+    certificate,
+    is_connected,
+    is_path_graph,
+    new_graph,
+    relabel,
+)
 from zeroforcing.recognize import min_extremal_spec, recognize_extremal_form
 from zeroforcing.solver import solve_report
 from zeroforcing.verify import (
     CLAIMS,
     ClaimResult,
     _check,
+    _orbit_codes,
     exhaustive_small_graphs,
+    graph_classes,
     graph_to_instance,
-    labeled_classes,
 )
 
 # OEIS A000088: graphs on n unlabeled vertices, n = 0..8
@@ -34,51 +46,108 @@ def code_graph(n, code):
     return new_graph(n, [p for i, p in enumerate(pairs) if code >> i & 1])
 
 
-@pytest.fixture(scope="module")
-def classes():
-    return {n: labeled_classes(n) for n in range(1, 7)}
+def random_graph(rnd, n):
+    p = rnd.random()
+    return new_graph(n, [(u, v) for u, v in combinations(range(n), 2) if rnd.random() < p])
 
 
-def test_class_counts_match_a000088(classes):
-    for n, (reps, ids) in classes.items():
-        assert len(reps) == A000088[n]
-        assert len(ids) == 1 << comb(n, 2)
+def shuffled(rnd, g):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    return relabel(g, perm)
 
 
-def test_representative_is_the_least_code_of_its_class(classes):
-    for reps, ids in classes.values():
-        assert reps == sorted(reps)
-        assert [ids[r] for r in reps] == list(range(len(reps)))
-        assert all(reps[cid] <= code for code, cid in enumerate(ids))
+def disjoint_copies(g, count):
+    return new_graph(
+        g.n * count, [(u + i * g.n, v + i * g.n) for i in range(count) for u, v in g.edges()]
+    )
 
 
-def test_orbit_sizes_divide_n_factorial(classes):
-    for n, (reps, ids) in classes.items():
-        sizes = Counter(ids)
-        # every code is marked with a real class
-        assert set(sizes) == set(range(len(reps)))
-        assert sum(sizes.values()) == 1 << comb(n, 2)
-        assert all(factorial(n) % size == 0 for size in sizes.values())
+def test_class_counts_match_a000088():
+    for n in range(1, 8):
+        assert len(graph_classes(n)) == A000088[n]
 
 
-def test_classes_are_isomorphism_classes(classes):
-    for n in range(1, 6):
-        reps, ids = classes[n]
-        rep_graphs = [code_graph(n, r) for r in reps]
-        for code, cid in enumerate(ids):
-            assert are_isomorphic(code_graph(n, code), rep_graphs[cid]), (n, code)
-        for a, b in combinations(rep_graphs, 2):
-            assert not are_isomorphic(a, b)
+def test_orbit_sizes_divide_n_factorial():
+    """The classes' relabelings partition the labeled graphs, so the classes
+    are pairwise non-isomorphic and miss none."""
+    for n in range(1, 7):
+        pairs = list(combinations(range(n), 2))
+        orbits = [_orbit_codes(g, pairs) for g in graph_classes(n)]
+        assert all(factorial(n) % len(o) == 0 for o in orbits)
+        assert sum(map(len, orbits)) == len(set().union(*orbits)) == 1 << comb(n, 2)
 
 
-def test_class_ids_hold_more_than_255_classes():
-    """n = 7 has 1,044 classes and n = 8 has 12,346.  Their ids must fit the
-    id array and stay apart from the unmarked sentinel; checked on the
-    array type, since the n = 7 walk alone takes seconds."""
-    _, ids = labeled_classes(3)
-    top = A000088[8] - 1
-    probe = array(ids.typecode, [top])
-    assert probe[0] == top < verify._UNMARKED
+def test_classes_match_networkx_atlas():
+    nx = pytest.importorskip("networkx")
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if 1 <= n <= 7:
+            atlas.setdefault(n, {})[certificate(new_graph(n, h.edges()))] = h
+    for n in range(1, 8):
+        classes = graph_classes(n)
+        assert len(atlas[n]) == len(classes) == A000088[n]
+        for g in classes:
+            mine = nx.empty_graph(n)
+            mine.add_edges_from(g.edges())
+            assert nx.is_isomorphic(mine, atlas[n][certificate(g)])
+
+
+def test_certificate_invariant_under_relabeling():
+    rnd = random.Random(88)
+    for _ in range(300):
+        g = random_graph(rnd, rnd.randint(1, 9))
+        assert certificate(shuffled(rnd, g)) == certificate(g), g.edges()
+
+
+def brute_isomorphic(g, h):
+    edges = set(h.edges())
+    return g.n == h.n and any(
+        {tuple(sorted((p[u], p[v]))) for u, v in g.edges()} == edges
+        for p in permutations(range(g.n))
+    )
+
+
+def test_classes_are_isomorphism_classes():
+    """Certificates agree with brute-force isomorphism on seeded pairs of
+    equal order and size, half of them relabelings of each other."""
+    rnd = random.Random(6)
+    seen = set()
+    for _ in range(400):
+        n = rnd.randint(1, 6)
+        g = random_graph(rnd, n)
+        if rnd.random() < 0.5:
+            h = shuffled(rnd, g)
+        else:
+            m = len(g.edges())
+            h = new_graph(n, rnd.sample(list(combinations(range(n), 2)), m))
+        same = brute_isomorphic(g, h)
+        seen.add(same)
+        assert (certificate(g) == certificate(h)) == same, (g.edges(), h.edges())
+        assert are_isomorphic(g, h) == same
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        complete(16),
+        star(16),
+        complete_multipartite([8, 8]),
+        disjoint_copies(complete(2), 8),
+        disjoint_copies(complete(3), 5),
+        cartesian(cycle(4), cycle(4)),
+    ],
+    ids=["K16", "star16", "K8,8", "8K2", "5K3", "C4xC4"],
+)
+def test_isomorphism_of_symmetric_graphs_is_fast(g):
+    """Twins and components are pruned; without that, K16 and 8 K2 take
+    seconds or never finish."""
+    h = shuffled(random.Random(g.n), g)
+    began = time.perf_counter()
+    assert are_isomorphic(g, h)
+    assert time.perf_counter() - began < 0.1
 
 
 def reference_violations(n, claims):

@@ -105,9 +105,3 @@ def test_run_suites_sorted_and_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "claim,instances,holds,violated,budget_exceeded"
     assert len(lines) > 1
-
-
-def test_exhaustive_parallel_matches_serial():
-    serial = exhaustive_small_graphs(4)
-    parallel = exhaustive_small_graphs(4, jobs=2)
-    assert serial == parallel
