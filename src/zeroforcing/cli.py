@@ -3,7 +3,8 @@
 Verbs: compute, trace, verify, enumerate, families.  Graphs come from a
 DSL term (positional argument) or an edge-list file via --file (use '-'
 for stdin).  Exit codes: 0 success, 1 violated hard claims, 2 input
-errors, 3 budget exhaustion.
+errors, 3 budget exhaustion.  Every input error, malformed flags
+included, goes to stderr as a JSON object ``{"error": ..., "message": ...}``.
 """
 
 from __future__ import annotations
@@ -34,6 +35,13 @@ EXIT_BUDGET = 3
 
 class SettingError(ValueError):
     """A flag or environment setting is malformed or out of range."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises SettingError where argparse would print usage and exit 2."""
+
+    def error(self, message):
+        raise SettingError(f"{self.prog}: {message}")
 
 
 _FAMILY_HELP = [
@@ -115,10 +123,7 @@ def _trace_table(g: Graph, trace) -> str:
         return ", ".join(str(v) for v in ids)
 
     lines = ["  t | newly black", f"  0 | {names(trace.initial)}"]
-    for t, rnd in enumerate(trace.rounds, start=1):
-        m = 0
-        for _, v in rnd:
-            m |= 1 << v
+    for t, m in enumerate(trace.forced_masks(), start=1):
         lines.append(f"  {t} | {names(m)}")
     lines.append(f"pt = {trace.pt}" if trace.pt is not None else "pt = undefined (not a forcing set)")
     return "\n".join(lines) + "\n"
@@ -137,7 +142,9 @@ def _report_table(rep) -> str:
 def _cmd_compute(args) -> int:
     g = _load_graph(args)
     limits = SolverLimits(max_closures=_budget(args))
-    rep = solve_report(g, limits=limits, jobs=_at_least("--jobs", args.jobs, 1))
+    # the solver runs in this process: --jobs is checked, then has no effect
+    _at_least("--jobs", args.jobs, 1)
+    rep = solve_report(g, limits=limits)
     if args.format == "table":
         _emit(_report_table(rep), args.out)
     else:
@@ -202,9 +209,7 @@ def _cmd_families(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="zf", description="exact zero forcing toolkit"
-    )
+    parser = _Parser(prog="zf", description="exact zero forcing toolkit")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("compute", help="compute all parameters of a graph")
@@ -222,9 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all minimum (connected) forcing sets")
     _add_graph_input(p)
-    p.add_argument("--min-zfs", action="store_true")
-    p.add_argument("--min-czfs", action="store_true")
-    p.add_argument("--connected", action="store_true", help="same as --min-czfs")
+    kind = p.add_mutually_exclusive_group()
+    kind.add_argument("--min-zfs", action="store_true")
+    kind.add_argument("--min-czfs", action="store_true")
+    kind.add_argument("--connected", action="store_true", help="same as --min-czfs")
     p.add_argument("--budget", type=int)
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -244,9 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (ParseError, GraphError, SettingError) as exc:
         return _fail(type(exc).__name__, str(exc))

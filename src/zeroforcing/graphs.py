@@ -205,8 +205,10 @@ def connected_columns(nbrs, comps, cols: list[int], ones: int) -> int:
     ``nbrs[v]`` lists the neighbors of v and ``comps`` the components as
     ascending vertex lists; bit j of ``cols[v]`` says v is in set j, for
     the sets j in ``ones``.  Returns the sets of ``ones`` that are
-    connected in components.
+    connected in components.  Bits of ``cols`` outside ``ones`` are ignored.
     """
+    # drop them first: sets outside ones would widen every sweep
+    cols = [c & ones for c in cols]
     n = len(cols)
     # seed each set at its lowest member in every component it meets
     reach = [0] * n
@@ -365,13 +367,13 @@ def certificate(g: Graph) -> tuple:
     return g.n, _greatest_code(g.adj, [g.full_mask], [g.full_mask])
 
 
-def are_isomorphic(g: Graph, h: Graph, limit: int = ISO_DEFAULT_LIMIT) -> bool:
+def are_isomorphic(g: Graph, h: Graph) -> bool:
     """Exact isomorphism test by certificate, intended for small orders.
 
-    Raises TooLarge when either graph exceeds ``limit`` vertices.
+    Raises TooLarge when either graph exceeds ``ISO_DEFAULT_LIMIT`` vertices.
     """
-    if g.n > limit or h.n > limit:
-        raise TooLarge(f"isomorphism limited to {limit} vertices")
+    if g.n > ISO_DEFAULT_LIMIT or h.n > ISO_DEFAULT_LIMIT:
+        raise TooLarge(f"isomorphism limited to {ISO_DEFAULT_LIMIT} vertices")
     return g.degree_sequence() == h.degree_sequence() and certificate(g) == certificate(h)
 
 

@@ -146,10 +146,10 @@ def _is_isolated_plus_path(g: Graph) -> bool:
     return is_path_graph(sub)
 
 
-def recognize_extremal_form(g: Graph, limit: int = RECOGNIZER_LIMIT) -> ExtremalForm:
+def recognize_extremal_form(g: Graph) -> ExtremalForm:
     """Classify ``g`` against the maximum-connected-propagation-time shapes."""
-    if g.n > limit:
-        raise TooLarge(f"recognition limited to {limit} vertices")
+    if g.n > RECOGNIZER_LIMIT:
+        raise TooLarge(f"recognition limited to {RECOGNIZER_LIMIT} vertices")
     if len(components(g)) > 1:
         if _is_isolated_plus_path(g):
             return ExtremalForm(FormKind.DISCONNECTED_CASE)
@@ -161,7 +161,7 @@ def recognize_extremal_form(g: Graph, limit: int = RECOGNIZER_LIMIT) -> Extremal
     return ExtremalForm(kind, spec)
 
 
-def min_extremal_spec(g: Graph, limit: int = RECOGNIZER_LIMIT) -> PCSpec | None:
+def min_extremal_spec(g: Graph) -> PCSpec | None:
     """Shape spec witnessing the minimum-time-n-2 conditions, or None.
 
     Accepts a connected graph iff it matches one of the extremal shapes
@@ -169,8 +169,8 @@ def min_extremal_spec(g: Graph, limit: int = RECOGNIZER_LIMIT) -> PCSpec | None:
     them: both end vertices of the first u-run joined to v_2 when written
     with one cycle, the v_1-side end joined to v_2 when written with more.
     """
-    if g.n > limit:
-        raise TooLarge(f"recognition limited to {limit} vertices")
+    if g.n > RECOGNIZER_LIMIT:
+        raise TooLarge(f"recognition limited to {RECOGNIZER_LIMIT} vertices")
     if len(components(g)) > 1:
         return None
     spec, fails = _lookup(g)

@@ -7,9 +7,13 @@ of set: the k-sets of a level are closed in runs of up to ``_LEVEL_WIDTH``
 sets per call of the bit-sliced kernel, which also yields every set's
 propagation time.  For connected sets the stream first keeps, per run,
 the sets that the bit-sliced connectivity kernel finds connected in
-components, and closes only those.  ``solve_report`` closes level Z once:
-since Z <= Z_c, its connected phase starts there and masks the Z phase's
-round bitmaps with each run's connectivity mask instead of closing again.
+components, and closes only those.  A level of at most ``_SCALAR_LEVEL``
+sets is a single run with the same layout (``_pascal_row`` columns,
+``_unrank`` masks) and is evaluated set by set, since a kernel call costs
+more than those few sets.  Every search runs in the calling process.
+``solve_report`` closes level Z once: since Z <= Z_c, its connected phase
+starts there and masks the Z phase's round bitmaps with each run's
+connectivity mask instead of closing again.
 
 Work is metered in candidate evaluations (one closure per candidate, one
 per propagation-time measurement).  Charging follows the deterministic
@@ -20,11 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb
 
 from .forcing import _batch_rounds, _propagation_steps
-from .graphs import Graph, components, connected_columns, mask_of, vertices_of
+from .graphs import Graph, components, connected_columns, vertices_of
 
 DEFAULT_BUDGET = 10**8
 # sets per bit-sliced kernel call in the level stream
@@ -117,17 +120,6 @@ def _pascal_row(n: int, r: int, s: int, width: int) -> tuple[int, ...]:
     return (first,) + tuple((h | t << taking) & keep for h, t in zip(head, tail))
 
 
-@lru_cache(maxsize=256)
-def _small_level(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Masks of a small level, lexicographic, and their bit-sliced columns;
-    shared by every graph of order n."""
-    masks = tuple(mask_of(c) for c in combinations(range(n), k))
-    cols = tuple(
-        sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(n)
-    )
-    return masks, cols
-
-
 @lru_cache(maxsize=8)
 def _shape(g: Graph):
     """Neighbor lists and ascending component vertex lists of g."""
@@ -156,19 +148,30 @@ def _unrank_bits(n: int, run, bits: int):
         yield _unrank(n, run, low.bit_length() - 1)
 
 
+@lru_cache(maxsize=256)
+def _small_level(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Masks of a small level, lexicographic, and their bit-sliced columns;
+    shared by every graph of order n.  The level is one run of its own
+    width, not ``_LEVEL_WIDTH``, so the cache never depends on that."""
+    count = comb(n, k)
+    masks = tuple(_unrank_bits(n, (0, 0, k, count), (1 << count) - 1))
+    return masks, _pascal_row(n, k, 0, count)
+
+
 def _level_columns(g: Graph, k: int, connected: bool):
     """Yield ``(run, cols, ones)`` for each kernel-sized run of level k, in
     stream order.
 
     Bit j of ``cols[v]`` says v lies in the run's j-th set.  ``ones`` holds
     the sets the stream keeps: all of them, or with ``connected`` those
-    connected in components.
+    connected in components.  Bits of ``cols`` outside ``ones`` are
+    meaningless; the kernels ignore them.
     """
     n = g.n
     for run in _level_runs(n, k, _LEVEL_WIDTH):
         prefix, s, r, count = run
         ones = (1 << count) - 1
-        cols = [0] * s + [c & ones for c in _pascal_row(n, r, s, _LEVEL_WIDTH)]
+        cols = [0] * s + list(_pascal_row(n, r, s, _LEVEL_WIDTH))
         for v in vertices_of(prefix):
             cols[v] = ones
         if connected:
@@ -470,14 +473,8 @@ def _run_phases(g: Graph, meter: _Meter, phases, fields: dict, witnesses: dict):
         witnesses[wlo], witnesses[whi] = wmin, wmax
 
 
-def solve_report(
-    g: Graph, limits: SolverLimits | None = None, jobs: int = 1
-) -> SolveReport:
-    """Compute Z, Z_c, and all four propagation-time extrema with witnesses.
-
-    ``jobs`` is accepted for compatibility and has no effect: every phase
-    runs in this process, and the report never depended on it.
-    """
+def solve_report(g: Graph, limits: SolverLimits | None = None) -> SolveReport:
+    """Compute Z, Z_c, and all four propagation-time extrema with witnesses."""
     meter = _Meter(limits)
     fields = dict.fromkeys(
         ("z", "z_c", "pt_min", "pt_max", "ptc_min", "ptc_max", "min_zfs_count", "min_czfs_count")

@@ -1,6 +1,9 @@
 """Machine checks of the closed forms, product bounds, and extremal
 characterizations, over parameterized families and exhaustive labeled
-small graphs.
+small graphs.  The instances of every suite are fixed tables in this
+module, so a suite's rows depend only on its name and, for the exhaustive
+suite, on the largest order.  ``zf verify`` is the command-line front end;
+its ``--format csv`` prints the per-claim verdict counts.
 
 The exhaustive claims are evaluated once per isomorphism class, found by
 one-vertex augmentation and deduped by certificate (``graph_classes``);
@@ -223,19 +226,6 @@ def replay_claim(result: ClaimResult) -> ClaimResult:
     return _check(result.claim, result.instance, result.expected)
 
 
-@dataclass(frozen=True)
-class NamedRanges:
-    """Instance ranges for the closed-form parameter checks."""
-
-    paths: tuple[int, int] = (3, 10)
-    cycles: tuple[int, int] = (3, 10)
-    completes: tuple[int, int] = (2, 8)
-    wheels: tuple[int, int] = (4, 9)
-    stars: tuple[int, int] = (4, 9)
-    supertriangles: tuple[int, int] = (2, 4)
-    multipartite_total: int = 8
-
-
 def _partitions(total: int, max_part: int | None = None):
     """Partitions of ``total`` into >= 2 parts, nonincreasing order."""
     max_part = max_part if max_part is not None else total - 1
@@ -247,23 +237,14 @@ def _partitions(total: int, max_part: int | None = None):
             yield (first,) + rest
 
 
-def check_named_parameters(ranges: NamedRanges | None = None) -> list[ClaimResult]:
+def check_named_parameters() -> list[ClaimResult]:
     """Closed-form values of Z and Z_c for the named families."""
-    r = ranges or NamedRanges()
     out = []
-    for n in range(r.paths[0], r.paths[1] + 1):
-        out.append(_check("named/path", f"path({n})", {"z": 1, "z_c": 1}))
-    for n in range(r.cycles[0], r.cycles[1] + 1):
-        out.append(_check("named/cycle", f"cycle({n})", {"z": 2, "z_c": 2}))
-    for n in range(r.completes[0], r.completes[1] + 1):
-        out.append(_check("named/complete", f"complete({n})", {"z": n - 1, "z_c": n - 1}))
-    for n in range(r.wheels[0], r.wheels[1] + 1):
-        out.append(_check("named/wheel", f"wheel({n})", {"z": 3, "z_c": 3}))
-    for n in range(r.stars[0], r.stars[1] + 1):
-        out.append(_check("named/star", f"star({n})", {"z": n - 2, "z_c": n - 1}))
-    for n in range(r.supertriangles[0], r.supertriangles[1] + 1):
-        out.append(_check("named/supertriangle", f"supertriangle({n})", {"z": n, "z_c": n}))
-    for total in range(2, r.multipartite_total + 1):
+    for family, first, last, closed_form in _NAMED_FAMILIES:
+        for n in range(first, last + 1):
+            z, z_c = closed_form(n)
+            out.append(_check(f"named/{family}", f"{family}({n})", {"z": z, "z_c": z_c}))
+    for total in range(2, _MULTIPARTITE_TOTAL + 1):
         for parts in _partitions(total):
             if len(parts) < 2:
                 continue
@@ -281,6 +262,18 @@ def check_named_parameters(ranges: NamedRanges | None = None) -> list[ClaimResul
                 out.append(_check("multipartite/general", inst, expected))
     return out
 
+
+# named family, first and last order, and (Z, Z_c) as a function of the order
+_NAMED_FAMILIES = (
+    ("path", 3, 10, lambda n: (1, 1)),
+    ("cycle", 3, 10, lambda n: (2, 2)),
+    ("complete", 2, 8, lambda n: (n - 1, n - 1)),
+    ("wheel", 4, 9, lambda n: (3, 3)),
+    ("star", 4, 9, lambda n: (n - 2, n - 1)),
+    ("supertriangle", 2, 4, lambda n: (n, n)),
+)
+# complete multipartite graphs of every order up to this one
+_MULTIPARTITE_TOTAL = 8
 
 _STRONG_CYCLE_PATH = [(n, m) for n in (3, 4, 5) for m in (2, 3)]
 _CARTESIAN_LAYER_FACTORS = [
@@ -445,18 +438,14 @@ def exhaustive_small_graphs(n_max: int = 6, claims=None) -> list[ClaimResult]:
     return out
 
 
-def run_suites(
-    suite: str = "all",
-    nmax: int = 6,
-    ranges: NamedRanges | None = None,
-) -> list[ClaimResult]:
+def run_suites(suite: str = "all", nmax: int = 6) -> list[ClaimResult]:
     """Run the requested suites and return results sorted by claim then
     instance."""
     if suite not in ("named", "products", "exhaustive", "all"):
         raise ValueError(f"unknown suite '{suite}'")
     out = []
     if suite in ("named", "all"):
-        out.extend(check_named_parameters(ranges))
+        out.extend(check_named_parameters())
     if suite in ("products", "all"):
         out.extend(check_product_bounds())
     if suite in ("exhaustive", "all"):

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 import zeroforcing.solver as solver
 from zeroforcing.cli import main
 
@@ -49,6 +51,14 @@ def test_trace_table(capsys):
                            "0,1,3,6", "--format", "table")
     assert code == 0
     assert "pt = 4" in out
+    code, out, _ = run_cli(capsys, "trace", "path(6)", "--seed", "0", "--format", "table")
+    assert code == 0
+    assert out == (
+        "  t | newly black\n  0 | 0\n  1 | 1\n  2 | 2\n  3 | 3\n  4 | 4\n  5 | 5\npt = 5\n"
+    )
+    code, out, _ = run_cli(capsys, "trace", "cycle(8)", "--seed", "0,3", "--format", "table")
+    assert code == 0
+    assert out == "  t | newly black\n  0 | 0, 3\npt = undefined (not a forcing set)\n"
 
 
 def test_enumerate(capsys):
@@ -58,6 +68,20 @@ def test_enumerate(capsys):
     code, out, _ = run_cli(capsys, "enumerate", "star(6)", "--connected")
     assert code == 0
     assert len(out.splitlines()) == 5
+
+
+def test_enumerate_selectors_exclude_each_other(capsys):
+    for pair in (("--min-zfs", "--connected"), ("--min-zfs", "--min-czfs"),
+                 ("--min-czfs", "--connected")):
+        code, out, err = run_cli(capsys, "enumerate", "star(4)", *pair)
+        assert code == 2 and out == "", pair
+        doc = json.loads(err)
+        assert doc["error"] == "SettingError" and "not allowed with" in doc["message"]
+    # star(4): the minimum ZFS have size 2, the minimum connected ones size 3
+    for flag, size in (("--min-zfs", 2), ("--min-czfs", 3), ("--connected", 3)):
+        code, out, _ = run_cli(capsys, "enumerate", "star(4)", flag)
+        assert code == 0
+        assert {len(line.split(",")) for line in out.splitlines()} == {size}, flag
 
 
 def test_enumerate_budget_bounds_the_drain(capsys):
@@ -215,3 +239,23 @@ def test_nmax_below_one_is_an_input_error(capsys):
         assert code == 2 and out == ""
         doc = json.loads(err)
         assert doc["error"] == "SettingError" and "--nmax" in doc["message"]
+
+
+def test_malformed_flags_are_input_errors(capsys):
+    for argv, named in (
+        (["compute", "path(3)", "--budget", "abc"], "--budget"),
+        (["verify", "--nmax", "x"], "--nmax"),
+        (["trace", "path(3)"], "--seed"),
+        ([], "verb"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        doc = json.loads(err)
+        assert doc["error"] == "SettingError" and named in doc["message"], argv
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["compute", "--help"])
+    assert info.value.code == 0
+    assert "--budget" in capsys.readouterr().out

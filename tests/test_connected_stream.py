@@ -13,13 +13,22 @@ import time
 from itertools import combinations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import zeroforcing.solver as solver
+from conftest import graphs
 from naive_oracle import min_forcing_sets, neighbor_sets, rounds_to_fill
 from test_level_stream import reference_level, reference_z
 from zeroforcing.dsl import parse_graph_dsl
 from zeroforcing.families import path
-from zeroforcing.graphs import components, is_connected_in_components, mask_of, new_graph
+from zeroforcing.graphs import (
+    components,
+    connected_columns,
+    is_connected_in_components,
+    mask_of,
+    new_graph,
+)
 from zeroforcing.solver import (
     BudgetExceeded,
     SolverLimits,
@@ -97,6 +106,20 @@ def test_connectivity_kernel_matches_per_set_check(stream_setting):
                 for j in range(run[3]):
                     m = solver._unrank(g.n, run, j)
                     assert bool(ones >> j & 1) == is_connected_in_components(g, m), (g, k, m)
+
+
+@given(graphs(max_n=8), st.data())
+def test_connectivity_kernel_ignores_bits_outside_ones(g, data):
+    masks = data.draw(st.lists(st.integers(1, g.full_mask), min_size=1, max_size=40))
+    ones = data.draw(st.integers(0, (1 << len(masks)) - 1))
+    cols = [sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(g.n)]
+    nbrs, comps = solver._shape(g)
+    got = connected_columns(nbrs, comps, cols, ones)
+    assert got == connected_columns(nbrs, comps, [c & ones for c in cols], ones)
+    expected = sum(
+        1 << j for j, m in enumerate(masks) if ones >> j & 1 and is_connected_in_components(g, m)
+    )
+    assert got == expected
 
 
 def test_connected_sets_are_lexicographic(stream_setting):

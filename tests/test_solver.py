@@ -181,13 +181,6 @@ def test_budget_exhaustion():
     assert rep.closures == 5
 
 
-def test_jobs_match_serial():
-    g = supertriangle(4)
-    serial = solve_report(g)
-    parallel = solve_report(g, jobs=2)
-    assert serial == parallel
-
-
 @given(graphs(max_n=6))
 @settings(max_examples=60)
 def test_solver_matches_oracle(g):

@@ -1,6 +1,5 @@
 from zeroforcing.graphs import new_graph
 from zeroforcing.verify import (
-    NamedRanges,
     check_named_parameters,
     check_product_bounds,
     csv_summary,
@@ -20,17 +19,14 @@ def test_instance_descriptor_round_trip():
 
 
 def test_named_parameters_hard_claims_hold():
-    res = check_named_parameters(NamedRanges(paths=(3, 6), cycles=(3, 6),
-                                             completes=(2, 5), wheels=(4, 6),
-                                             stars=(4, 6), supertriangles=(2, 3),
-                                             multipartite_total=6))
+    res = check_named_parameters()
     assert not has_hard_violations(res)
     hard = [r for r in res if r.hard]
     assert all(r.verdict == "holds" for r in hard)
 
 
 def test_named_parameters_surface_star_and_complete_findings():
-    res = check_named_parameters(NamedRanges(multipartite_total=5))
+    res = check_named_parameters()
     findings = [
         r for r in res
         if r.claim == "multipartite/star-or-complete-as-stated" and r.verdict == "violated"
