@@ -83,9 +83,11 @@ def _load_graph(args) -> Graph:
     sources = [s for s in (args.graph, args.file) if s]
     if len(sources) != 1:
         raise GraphError("give exactly one input: a DSL term or --file PATH")
+    if args.file == "-":
+        return parse_edge_list(sys.stdin.read())
     if args.file:
-        text = sys.stdin.read() if args.file == "-" else open(args.file).read()
-        return parse_edge_list(text)
+        with open(args.file) as fh:
+            return parse_edge_list(fh.read())
     return parse_graph_dsl(args.graph)
 
 
@@ -178,7 +180,7 @@ def _cmd_trace(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args)
     limits = SolverLimits(max_closures=_budget(args))
-    enumerate_min = enumerate_min_czfs if args.min_czfs or args.connected else enumerate_min_zfs
+    enumerate_min = enumerate_min_czfs if args.connected else enumerate_min_zfs
     lines = [",".join(map(str, vertices_of(m))) for m in enumerate_min(g, limits=limits)]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
@@ -227,10 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("enumerate", help="stream all minimum (connected) forcing sets")
     _add_graph_input(p)
-    kind = p.add_mutually_exclusive_group()
-    kind.add_argument("--min-zfs", action="store_true")
-    kind.add_argument("--min-czfs", action="store_true")
-    kind.add_argument("--connected", action="store_true", help="same as --min-czfs")
+    p.add_argument("--connected", action="store_true", help="minimum connected sets")
     p.add_argument("--budget", type=int)
     p.set_defaults(fn=_cmd_enumerate)
 

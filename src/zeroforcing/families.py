@@ -9,15 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import (
-    CapacityExceeded,
-    EndpointOutOfRange,
-    Graph,
-    GraphError,
-    MAX_VERTICES,
-    iter_vertices,
-    new_graph,
-)
+from .graphs import EndpointOutOfRange, Graph, GraphError, check_order, iter_vertices, new_graph
 
 
 class OrderTooSmall(GraphError):
@@ -40,6 +32,7 @@ def path(n: int) -> Graph:
     """Path P_n.  Vertices 0..n-1 in path order; n >= 1."""
     if n < 1:
         raise OrderTooSmall("path needs n >= 1")
+    check_order(n)
     return new_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -47,6 +40,7 @@ def cycle(n: int) -> Graph:
     """Cycle C_n.  Vertices 0..n-1 in cyclic order, closing (n-1, 0); n >= 3."""
     if n < 3:
         raise OrderTooSmall("cycle needs n >= 3")
+    check_order(n)
     return new_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
@@ -54,6 +48,7 @@ def complete(n: int) -> Graph:
     """Complete graph K_n; n >= 1."""
     if n < 1:
         raise OrderTooSmall("complete graph needs n >= 1")
+    check_order(n)
     return new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
@@ -61,6 +56,7 @@ def star(n: int) -> Graph:
     """Star S_n of order n (= K_{1,n-1}).  Vertex 0 is the center; n >= 2."""
     if n < 2:
         raise OrderTooSmall("star needs n >= 2")
+    check_order(n)
     return new_graph(n, [(0, v) for v in range(1, n)])
 
 
@@ -68,6 +64,7 @@ def wheel(n: int) -> Graph:
     """Wheel W_n of order n.  Vertex 0 is the hub; 1..n-1 form the rim cycle."""
     if n < 4:
         raise OrderTooSmall("wheel needs n >= 4")
+    check_order(n)
     edges = [(0, v) for v in range(1, n)]
     edges += [(v, v + 1) for v in range(1, n - 1)]
     edges.append((n - 1, 1))
@@ -82,6 +79,7 @@ def supertriangle(n: int) -> Graph:
     """
     if n < 1:
         raise OrderTooSmall("supertriangle needs n >= 1")
+    order = check_order(n * (n + 1) // 2)
 
     def vid(r, i):
         return r * (r + 1) // 2 + i
@@ -94,7 +92,7 @@ def supertriangle(n: int) -> Graph:
             if r + 1 < n:
                 edges.append((vid(r, i), vid(r + 1, i)))
                 edges.append((vid(r, i), vid(r + 1, i + 1)))
-    return new_graph(n * (n + 1) // 2, edges)
+    return new_graph(order, edges)
 
 
 def complete_multipartite(sizes) -> Graph:
@@ -102,10 +100,10 @@ def complete_multipartite(sizes) -> Graph:
     sizes = list(sizes)
     if len(sizes) < 2 or any(s < 1 for s in sizes):
         raise BadPartition("need >= 2 parts, each of size >= 1")
+    n = check_order(sum(sizes))
     starts = [0]
     for s in sizes:
         starts.append(starts[-1] + s)
-    n = starts[-1]
     edges = []
     for a in range(len(sizes)):
         for b in range(a + 1, len(sizes)):
@@ -115,13 +113,23 @@ def complete_multipartite(sizes) -> Graph:
     return new_graph(n, edges)
 
 
-def _check_product_capacity(g: Graph, h: Graph):
-    if g.n * h.n > MAX_VERTICES:
-        raise CapacityExceeded(f"product order {g.n * h.n} exceeds {MAX_VERTICES}")
-
-
-def _pair_labels(g: Graph, h: Graph):
-    return tuple(f"{u},{v}" for u in range(g.n) for v in range(h.n))
+def _product(g: Graph, h: Graph, diagonal: bool) -> Graph:
+    """Cartesian product, plus the strong product's diagonal edges when
+    ``diagonal``.  Vertex (u, v) gets id u*|h| + v and label "u,v"."""
+    hn = h.n
+    n = check_order(g.n * hn)
+    edges = []
+    for u in range(g.n):
+        for v in range(hn):
+            a = u * hn + v
+            for v2 in iter_vertices(h.adj[v]):
+                edges.append((a, u * hn + v2))
+            for u2 in iter_vertices(g.adj[u]):
+                edges.append((a, u2 * hn + v))
+                if diagonal:
+                    for v2 in iter_vertices(h.adj[v]):
+                        edges.append((a, u2 * hn + v2))
+    return new_graph(n, edges, labels=[f"{u},{v}" for u in range(g.n) for v in range(hn)])
 
 
 def cartesian(g: Graph, h: Graph) -> Graph:
@@ -130,35 +138,13 @@ def cartesian(g: Graph, h: Graph) -> Graph:
     (u, v) ~ (u', v') iff u = u' and vv' is an edge of h, or v = v' and
     uu' is an edge of g.
     """
-    _check_product_capacity(g, h)
-    hn = h.n
-    edges = []
-    for u in range(g.n):
-        for v in range(hn):
-            a = u * hn + v
-            for v2 in iter_vertices(h.adj[v]):
-                edges.append((a, u * hn + v2))
-            for u2 in iter_vertices(g.adj[u]):
-                edges.append((a, u2 * hn + v))
-    return new_graph(g.n * hn, edges, labels=_pair_labels(g, h))
+    return _product(g, h, diagonal=False)
 
 
 def strong(g: Graph, h: Graph) -> Graph:
     """Strong product: the Cartesian edges plus the diagonal edges
     (u, v) ~ (u', v') for uu' in E(g) and vv' in E(h).  Same numbering."""
-    _check_product_capacity(g, h)
-    hn = h.n
-    edges = []
-    for u in range(g.n):
-        for v in range(hn):
-            a = u * hn + v
-            for v2 in iter_vertices(h.adj[v]):
-                edges.append((a, u * hn + v2))
-            for u2 in iter_vertices(g.adj[u]):
-                edges.append((a, u2 * hn + v))
-                for v2 in iter_vertices(h.adj[v]):
-                    edges.append((a, u2 * hn + v2))
-    return new_graph(g.n * hn, edges, labels=_pair_labels(g, h))
+    return _product(g, h, diagonal=True)
 
 
 def corona(g: Graph, h: Graph) -> Graph:
@@ -178,9 +164,7 @@ def generalized_corona(g: Graph, hs) -> Graph:
     hs = list(hs)
     if len(hs) != g.n:
         raise ArityMismatch(f"need {g.n} attachments, got {len(hs)}")
-    n = g.n + sum(h.n for h in hs)
-    if n > MAX_VERTICES:
-        raise CapacityExceeded(f"corona order {n} exceeds {MAX_VERTICES}")
+    n = check_order(g.n + sum(h.n for h in hs))
     edges = g.edges()
     base = g.n
     for i, h in enumerate(hs):
@@ -256,6 +240,7 @@ def pc_graph(spec: PCSpec) -> Graph:
     walks are deduplicated.  A tail (t, m) is realized by identifying v_t
     with one endpoint of a fresh path on m vertices.
     """
+    check_order(spec.order())
     k = spec.k
     labels = [f"v{t}" for t in range(1, k + 3)]
     u_ids = []
@@ -290,6 +275,7 @@ def vertex_sum(g: Graph, v: int, h: Graph, w: int) -> Graph:
         raise EndpointOutOfRange(f"vertex {v} outside 0..{g.n - 1}")
     if not 0 <= w < h.n:
         raise EndpointOutOfRange(f"vertex {w} outside 0..{h.n - 1}")
+    n = check_order(g.n + h.n - 1)
     remap = {}
     nxt = g.n
     for x in range(h.n):
@@ -305,4 +291,4 @@ def vertex_sum(g: Graph, v: int, h: Graph, w: int) -> Graph:
         labels = list(g.labels)
         tail_labels = h.labels if h.labels is not None else [f"w{x}" for x in range(h.n)]
         labels.extend(tail_labels[x] for x in range(h.n) if x != w)
-    return new_graph(g.n + h.n - 1, edges, labels=labels)
+    return new_graph(n, edges, labels=labels)

@@ -41,6 +41,17 @@ class TooLarge(GraphError):
     """The instance exceeds the configured size limit for this operation."""
 
 
+def check_order(n: int) -> int:
+    """Return ``n`` if a graph of that order fits: EmptyVertexSet below 1,
+    CapacityExceeded above ``MAX_VERTICES``.  Constructors call it before
+    building any edge."""
+    if n < 1:
+        raise EmptyVertexSet("graph needs at least one vertex")
+    if n > MAX_VERTICES:
+        raise CapacityExceeded(f"{n} vertices exceeds capacity {MAX_VERTICES}")
+    return n
+
+
 def mask_of(vertices) -> int:
     """Bitset mask for an iterable of vertex ids."""
     m = 0
@@ -76,10 +87,7 @@ class Graph:
     labels: tuple[str, ...] | None = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.n < 1:
-            raise EmptyVertexSet("graph needs at least one vertex")
-        if self.n > MAX_VERTICES:
-            raise CapacityExceeded(f"{self.n} vertices exceeds capacity {MAX_VERTICES}")
+        check_order(self.n)
         if len(self.adj) != self.n:
             raise GraphError("adjacency length does not match vertex count")
         full = (1 << self.n) - 1
@@ -127,14 +135,11 @@ class Graph:
 def new_graph(n: int, edges, labels=None) -> Graph:
     """Build a graph from an edge list, deduplicating repeated edges.
 
-    Raises EmptyVertexSet for n < 1, SelfLoop for u == v, and
-    EndpointOutOfRange for ids outside 0..n-1.
+    Raises EmptyVertexSet for n < 1, CapacityExceeded above
+    ``MAX_VERTICES``, SelfLoop for u == v, and EndpointOutOfRange for ids
+    outside 0..n-1.
     """
-    if n < 1:
-        raise EmptyVertexSet("graph needs at least one vertex")
-    if n > MAX_VERTICES:
-        raise CapacityExceeded(f"{n} vertices exceeds capacity {MAX_VERTICES}")
-    adj = [0] * n
+    adj = [0] * check_order(n)
     for u, v in edges:
         if u == v:
             raise SelfLoop(f"edge ({u}, {v}) is a loop")
@@ -145,23 +150,25 @@ def new_graph(n: int, edges, labels=None) -> Graph:
     return Graph(n, tuple(adj), tuple(labels) if labels is not None else None)
 
 
+def _reach(g: Graph, start: int, allowed: int) -> int:
+    """Vertices reachable from mask ``start`` by paths inside mask ``allowed``."""
+    reach = frontier = start
+    while frontier:
+        nxt = 0
+        for u in iter_vertices(frontier):
+            nxt |= g.adj[u]
+        frontier = nxt & allowed & ~reach
+        reach |= frontier
+    return reach
+
+
 def components(g: Graph) -> list[int]:
     """Masks of the connected components, ordered by minimum vertex id."""
-    seen = 0
     out = []
-    for v in range(g.n):
-        if seen >> v & 1:
-            continue
-        comp = 1 << v
-        frontier = comp
-        while frontier:
-            nxt = 0
-            for u in iter_vertices(frontier):
-                nxt |= g.adj[u]
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(comp)
+    left = g.full_mask
+    while left:
+        out.append(_reach(g, left & -left, left))
+        left &= ~out[-1]
     return out
 
 
@@ -173,16 +180,7 @@ def induces_connected(g: Graph, s: int) -> bool:
     """True iff the subgraph induced on nonempty mask ``s`` is connected."""
     if not s:
         raise EmptySet("connectivity of the empty set is undefined")
-    start = s & -s
-    reach = start
-    frontier = start
-    while frontier:
-        nxt = 0
-        for u in iter_vertices(frontier):
-            nxt |= g.adj[u]
-        frontier = nxt & s & ~reach
-        reach |= frontier
-    return reach == s
+    return _reach(g, s & -s, s) == s
 
 
 def is_connected_in_components(g: Graph, s: int) -> bool:

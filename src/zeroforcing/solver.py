@@ -64,7 +64,7 @@ class _Meter:
         self.used = 0
         self.note = ""
 
-    def charge(self, count: int = 1):
+    def charge(self, count: int):
         """Charge ``count`` evaluations, as that many single charges would."""
         self.used += count
         if self.used > self.limit:
@@ -257,11 +257,12 @@ def _zfs_lower_bound(g: Graph) -> int:
     return max(1, min(g.degree(v) for v in range(g.n)))
 
 
-def _first_hit(g: Graph, meter: _Meter, connected: bool) -> tuple[int, int]:
-    """Smallest level holding a (connected) zero forcing set, with the
-    first such set in stream order.  Charged through the hit."""
+def _first_hit(g: Graph, meter: _Meter, connected: bool, start: int) -> tuple[int, int]:
+    """Smallest level from ``start`` on holding a (connected) zero forcing
+    set, with the first such set in stream order.  Charged through the hit;
+    ``start`` must be at most that level."""
     meter.note = "connected zero forcing number" if connected else "zero forcing number"
-    for k in range(_zfs_lower_bound(g), g.n + 1):
+    for k in range(start, g.n + 1):
         try:
             for run, ones, done in _level_stream(g, k, connected):
                 if done[-1]:
@@ -278,7 +279,7 @@ def _first_hit(g: Graph, meter: _Meter, connected: bool) -> tuple[int, int]:
 def zero_forcing_number(g: Graph, limits: SolverLimits | None = None) -> tuple[int, int]:
     """Smallest size of a zero forcing set, with its lexicographically
     least witness mask."""
-    return _first_hit(g, _Meter(limits), connected=False)
+    return _first_hit(g, _Meter(limits), False, _zfs_lower_bound(g))
 
 
 def connected_zero_forcing_number(
@@ -286,7 +287,7 @@ def connected_zero_forcing_number(
 ) -> tuple[int, int]:
     """Smallest size of a connected zero forcing set, with the
     lexicographically least witness mask."""
-    return _first_hit(g, _Meter(limits), connected=True)
+    return _first_hit(g, _Meter(limits), True, _zfs_lower_bound(g))
 
 
 def _enumerate_min(g: Graph, k: int | None, limits: SolverLimits | None, connected: bool):

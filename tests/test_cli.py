@@ -62,26 +62,17 @@ def test_trace_table(capsys):
 
 
 def test_enumerate(capsys):
-    code, out, _ = run_cli(capsys, "enumerate", "path(5)", "--min-zfs")
+    code, out, _ = run_cli(capsys, "enumerate", "path(5)")
     assert code == 0
     assert out.splitlines() == ["0", "4"]
     code, out, _ = run_cli(capsys, "enumerate", "star(6)", "--connected")
     assert code == 0
     assert len(out.splitlines()) == 5
-
-
-def test_enumerate_selectors_exclude_each_other(capsys):
-    for pair in (("--min-zfs", "--connected"), ("--min-zfs", "--min-czfs"),
-                 ("--min-czfs", "--connected")):
-        code, out, err = run_cli(capsys, "enumerate", "star(4)", *pair)
-        assert code == 2 and out == "", pair
-        doc = json.loads(err)
-        assert doc["error"] == "SettingError" and "not allowed with" in doc["message"]
     # star(4): the minimum ZFS have size 2, the minimum connected ones size 3
-    for flag, size in (("--min-zfs", 2), ("--min-czfs", 3), ("--connected", 3)):
-        code, out, _ = run_cli(capsys, "enumerate", "star(4)", flag)
+    for flags, size in (((), 2), (("--connected",), 3)):
+        code, out, _ = run_cli(capsys, "enumerate", "star(4)", *flags)
         assert code == 0
-        assert {len(line.split(",")) for line in out.splitlines()} == {size}, flag
+        assert {len(line.split(",")) for line in out.splitlines()} == {size}, flags
 
 
 def test_enumerate_budget_bounds_the_drain(capsys):
@@ -104,9 +95,9 @@ def test_enumerate_runs_one_value_query(capsys, monkeypatch):
 
     monkeypatch.setattr(solver, "_min_level", counted)
     monkeypatch.setattr(solver, "_first_hit", None)
-    for flag, connected in (("--min-zfs", False), ("--connected", True)):
+    for flags, connected in (((), False), (("--connected",), True)):
         calls.clear()
-        code, out, _ = run_cli(capsys, "enumerate", "cycle(6)", flag)
+        code, out, _ = run_cli(capsys, "enumerate", "cycle(6)", *flags)
         assert code == 0 and out
         assert calls == [connected]
 
@@ -166,7 +157,7 @@ def test_budget_env_default(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, "compute", "supertriangle(4)")
     assert code == 3
     assert json.loads(out)["budget"]["closures"] == 5
-    code, _, err = run_cli(capsys, "enumerate", "supertriangle(4)", "--min-zfs")
+    code, _, err = run_cli(capsys, "enumerate", "supertriangle(4)")
     assert code == 3
     assert json.loads(err)["error"] == "BudgetExceeded"
 
@@ -204,7 +195,7 @@ def test_deeply_nested_term_is_an_input_error(capsys):
 
 
 def test_negative_budget_is_an_input_error(capsys, monkeypatch):
-    for verb in (["compute", "path(3)"], ["enumerate", "path(3)", "--min-zfs"]):
+    for verb in (["compute", "path(3)"], ["enumerate", "path(3)"]):
         code, out, err = run_cli(capsys, *verb, "--budget", "-5")
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "SettingError"
@@ -246,6 +237,7 @@ def test_malformed_flags_are_input_errors(capsys):
         (["compute", "path(3)", "--budget", "abc"], "--budget"),
         (["verify", "--nmax", "x"], "--nmax"),
         (["trace", "path(3)"], "--seed"),
+        (["enumerate", "path(3)", "--min-zfs"], "--min-zfs"),
         ([], "verb"),
     ):
         code, out, err = run_cli(capsys, *argv)

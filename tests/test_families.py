@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs
+from zeroforcing import families
 from zeroforcing.families import (
     ArityMismatch,
     BadPartition,
@@ -89,6 +90,31 @@ def test_products():
     assert big.labels is not None and big.labels[7] == "2,1"
     with pytest.raises(CapacityExceeded):
         cartesian(complete(12), complete(12))
+
+
+def test_capacity_is_checked_before_any_edge(monkeypatch):
+    k12, p120 = complete(12), path(120)
+
+    def built(*args, **kwargs):
+        raise AssertionError("new_graph called on an oversized order")
+
+    monkeypatch.setattr(families, "new_graph", built)
+    for make, order in (
+        (lambda: path(129), 129),
+        (lambda: cycle(200), 200),
+        (lambda: complete(200), 200),
+        (lambda: star(200), 200),
+        (lambda: wheel(200), 200),
+        (lambda: supertriangle(20), 210),
+        (lambda: complete_multipartite([100, 100]), 200),
+        (lambda: pc_graph(PCSpec((200,))), 203),
+        (lambda: cartesian(k12, k12), 144),
+        (lambda: strong(k12, k12), 144),
+        (lambda: corona(k12, k12), 156),
+        (lambda: vertex_sum(k12, 0, p120, 0), 131),
+    ):
+        with pytest.raises(CapacityExceeded, match=f"^{order} vertices exceeds capacity 128$"):
+            make()
 
 
 @given(graphs(max_n=4), graphs(max_n=4))
