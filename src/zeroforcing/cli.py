@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from pathlib import Path
 
 from .dsl import ParseError, parse_graph_dsl
 from .forcing import is_czfs, is_zfs, propagation_trace
@@ -20,7 +21,6 @@ from .graphs import Graph, GraphError, parse_edge_list, vertices_of
 from .solver import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    SolverLimits,
     enumerate_min_czfs,
     enumerate_min_zfs,
     solve_report,
@@ -83,12 +83,13 @@ def _load_graph(args) -> Graph:
     sources = [s for s in (args.graph, args.file) if s]
     if len(sources) != 1:
         raise GraphError("give exactly one input: a DSL term or --file PATH")
-    if args.file == "-":
-        return parse_edge_list(sys.stdin.read())
-    if args.file:
-        with open(args.file) as fh:
-            return parse_edge_list(fh.read())
-    return parse_graph_dsl(args.graph)
+    if not args.file:
+        return parse_graph_dsl(args.graph)
+    try:
+        text = sys.stdin.read() if args.file == "-" else Path(args.file).read_text("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GraphError(f"{args.file}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    return parse_edge_list(text)
 
 
 def _at_least(name: str, value: int, low: int) -> int:
@@ -143,10 +144,10 @@ def _report_table(rep) -> str:
 
 def _cmd_compute(args) -> int:
     g = _load_graph(args)
-    limits = SolverLimits(max_closures=_budget(args))
+    budget = _budget(args)
     # the solver runs in this process: --jobs is checked, then has no effect
     _at_least("--jobs", args.jobs, 1)
-    rep = solve_report(g, limits=limits)
+    rep = solve_report(g, budget)
     if args.format == "table":
         _emit(_report_table(rep), args.out)
     else:
@@ -179,9 +180,8 @@ def _cmd_trace(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args)
-    limits = SolverLimits(max_closures=_budget(args))
     enumerate_min = enumerate_min_czfs if args.connected else enumerate_min_zfs
-    lines = [",".join(map(str, vertices_of(m))) for m in enumerate_min(g, limits=limits)]
+    lines = [",".join(map(str, vertices_of(m))) for m in enumerate_min(g, budget=_budget(args))]
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

@@ -1,9 +1,9 @@
 """The color-change rule: one-round forces, closures, and round traces.
 
 A black vertex with exactly one white neighbor forces that neighbor black.
-``derived_coloring`` runs the rule to its (unique) fixpoint with a dirty-set
-worklist; ``propagation_trace`` runs simultaneous rounds and records every
-force, which doubles as an independent round-based closure.
+``_round_forces`` lists one round's forces for the traces; ``_rounds`` runs
+simultaneous rounds on one coloring to its (unique) fixpoint, and
+``_batch_rounds`` on many colorings at once, bit-sliced.
 """
 
 from __future__ import annotations
@@ -22,24 +22,6 @@ def _check_mask(g: Graph, mask: int):
         raise EndpointOutOfRange("vertex set mentions ids outside the graph")
 
 
-def _closure(adj, full: int, black: int) -> int:
-    """Fixpoint of the color-change rule, worklist kernel on raw adjacency."""
-    if black == full:
-        return full
-    pending = black
-    while pending:
-        ubit = pending & -pending
-        pending ^= ubit
-        white = adj[ubit.bit_length() - 1] & ~black
-        if not white or white & (white - 1):
-            continue
-        black |= white
-        if black == full:
-            return full
-        pending |= white | (adj[white.bit_length() - 1] & black)
-    return black
-
-
 def _round_forces(adj, black: int):
     """All forces available against ``black`` simultaneously, forcer-ascending."""
     out = []
@@ -54,9 +36,10 @@ def _round_forces(adj, black: int):
     return out
 
 
-def _propagation_steps(adj, full: int, black: int) -> int | None:
-    """Number of simultaneous rounds to blacken everything, or None if stuck."""
-    steps = 0
+def _rounds(adj, full: int, black: int) -> tuple[int, int]:
+    """``(fixpoint, rounds)`` of simultaneous rounds from ``black``; the
+    rounds are the propagation time when the fixpoint is ``full``."""
+    rounds = 0
     todo = black
     while black != full:
         add = near = 0
@@ -68,12 +51,12 @@ def _propagation_steps(adj, full: int, black: int) -> int | None:
                 add |= white
                 near |= adj[white.bit_length() - 1]
         if not add:
-            return None
+            break
         black |= add
-        steps += 1
+        rounds += 1
         # only a vertex whose closed neighborhood just changed can force next
         todo = (add | near) & black
-    return steps
+    return black, rounds
 
 
 def _batch_rounds(nbrs, cols: list[int], ones: int) -> list[int]:
@@ -147,7 +130,7 @@ def forces_one_round(g: Graph, black: int) -> list[tuple[int, int]]:
 def derived_coloring(g: Graph, black: int) -> int:
     """The unique fixpoint der(B) reached from the mask ``black``."""
     _check_mask(g, black)
-    return _closure(g.adj, g.full_mask, black)
+    return _rounds(g.adj, g.full_mask, black)[0]
 
 
 def derived_coloring_sequential(g: Graph, black: int, rng) -> int:
@@ -169,7 +152,7 @@ def derived_coloring_sequential(g: Graph, black: int, rng) -> int:
 def is_zfs(g: Graph, black: int) -> bool:
     """True iff ``black`` is a zero forcing set of g."""
     _check_mask(g, black)
-    return _closure(g.adj, g.full_mask, black) == g.full_mask
+    return _rounds(g.adj, g.full_mask, black)[0] == g.full_mask
 
 
 def is_czfs(g: Graph, black: int) -> bool:
@@ -241,10 +224,10 @@ def propagation_trace(g: Graph, black: int) -> ForcingTrace:
 def propagation_time(g: Graph, black: int) -> int:
     """Rounds needed for the zero forcing set ``black`` to cover g."""
     _check_mask(g, black)
-    steps = _propagation_steps(g.adj, g.full_mask, black)
-    if steps is None:
+    black, rounds = _rounds(g.adj, g.full_mask, black)
+    if black != g.full_mask:
         raise NotForcing("the set does not force the whole graph")
-    return steps
+    return rounds
 
 
 def replay_trace(g: Graph, trace: ForcingTrace) -> bool:

@@ -392,9 +392,12 @@ def parse_edge_list(text: str) -> Graph:
         if parts[0] == "n":
             if n is not None or edges:
                 raise GraphError(f"line {lineno}: header must come first")
-            if len(parts) != 2 or not parts[1].isdigit():
+            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
                 raise GraphError(f"line {lineno}: malformed header")
-            n = int(parts[1])
+            try:
+                n = int(parts[1])
+            except ValueError:  # more digits than int() converts
+                raise GraphError(f"line {lineno}: header order too long") from None
             continue
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v'")

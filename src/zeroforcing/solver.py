@@ -9,15 +9,17 @@ propagation time.  For connected sets the stream first keeps, per run,
 the sets that the bit-sliced connectivity kernel finds connected in
 components, and closes only those.  A level of at most ``_SCALAR_LEVEL``
 sets is a single run with the same layout (``_pascal_row`` columns,
-``_unrank`` masks) and is evaluated set by set, since a kernel call costs
-more than those few sets.  Every search runs in the calling process.
-``solve_report`` closes level Z once: since Z <= Z_c, its connected phase
-starts there and masks the Z phase's round bitmaps with each run's
-connectivity mask instead of closing again.
+``_unrank`` masks) and is evaluated set by set with ``forcing._rounds``,
+since a kernel call costs more than those few sets.  ``_min_level`` is the
+one level search: value queries stop at its first hit, drains read the
+whole level.  ``solve_report`` closes level Z once: since Z <= Z_c, its
+connected phase starts there and masks the Z phase's round bitmaps with
+each run's connectivity mask instead of closing again.
 
 Work is metered in candidate evaluations (one closure per candidate, one
-per propagation-time measurement).  Charging follows the deterministic
-stream order, and a connected stream charges only its connected sets.
+per propagation-time measurement), at most ``budget`` of them per call.
+Charging follows the deterministic stream order, and a connected stream
+charges only its connected sets.  Every search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .forcing import _batch_rounds, _propagation_steps
+from .forcing import _batch_rounds, _rounds
 from .graphs import Graph, components, connected_columns, vertices_of
 
 DEFAULT_BUDGET = 10**8
@@ -34,13 +36,6 @@ DEFAULT_BUDGET = 10**8
 _LEVEL_WIDTH = 16384
 # levels this small skip the kernel and evaluate set by set
 _SCALAR_LEVEL = 20
-
-
-@dataclass(frozen=True)
-class SolverLimits:
-    """Resource limits for an exact solve."""
-
-    max_closures: int = DEFAULT_BUDGET
 
 
 class BudgetExceeded(RuntimeError):
@@ -59,10 +54,10 @@ class WrongSize(ValueError):
 class _Meter:
     __slots__ = ("limit", "used", "note")
 
-    def __init__(self, limits: SolverLimits | None):
-        self.limit = (limits or SolverLimits()).max_closures
+    def __init__(self, budget: int, note: str = ""):
+        self.limit = budget
         self.used = 0
-        self.note = ""
+        self.note = note
 
     def charge(self, count: int):
         """Charge ``count`` evaluations, as that many single charges would."""
@@ -212,10 +207,11 @@ def _level_stream(g: Graph, k: int, connected: bool = False, closed=None):
     adj, full = g.adj, g.full_mask
     done = [0]
     for j, m in enumerate(masks):
-        t = _propagation_steps(adj, full, m) if ones >> j & 1 else None
-        if t is not None:
-            done.extend([0] * (t + 1 - len(done)))
-            done[t] |= 1 << j
+        if ones >> j & 1:
+            black, t = _rounds(adj, full, m)
+            if black == full:
+                done.extend([0] * (t + 1 - len(done)))
+                done[t] |= 1 << j
     yield run, ones, done
 
 
@@ -257,69 +253,56 @@ def _zfs_lower_bound(g: Graph) -> int:
     return max(1, min(g.degree(v) for v in range(g.n)))
 
 
-def _first_hit(g: Graph, meter: _Meter, connected: bool, start: int) -> tuple[int, int]:
+def _first_hit(g: Graph, budget: int, connected: bool, start: int) -> tuple[int, int]:
     """Smallest level from ``start`` on holding a (connected) zero forcing
     set, with the first such set in stream order.  Charged through the hit;
     ``start`` must be at most that level."""
-    meter.note = "connected zero forcing number" if connected else "zero forcing number"
-    for k in range(start, g.n + 1):
-        try:
-            for run, ones, done in _level_stream(g, k, connected):
-                if done[-1]:
-                    first = _lowest(_hits(done))
-                    meter.charge((ones & (2 << first) - 1).bit_count())
-                    return k, _unrank(g.n, run, first)
-                meter.charge(ones.bit_count())
-        except BudgetExceeded as exc:
-            exc.best_known["z_c_lower_bound" if connected else "z_lower_bound"] = k
-            raise
-    raise AssertionError("the full vertex set always forces")
+    meter = _Meter(budget, "connected zero forcing number" if connected else "zero forcing number")
+    k, run, done = next(_min_level(g, meter, start, connected))
+    return k, _unrank(g.n, run, _lowest(_hits(done)))
 
 
-def zero_forcing_number(g: Graph, limits: SolverLimits | None = None) -> tuple[int, int]:
+def zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """Smallest size of a zero forcing set, with its lexicographically
     least witness mask."""
-    return _first_hit(g, _Meter(limits), False, _zfs_lower_bound(g))
+    return _first_hit(g, budget, False, _zfs_lower_bound(g))
 
 
-def connected_zero_forcing_number(
-    g: Graph, limits: SolverLimits | None = None
-) -> tuple[int, int]:
+def connected_zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """Smallest size of a connected zero forcing set, with the
     lexicographically least witness mask."""
-    return _first_hit(g, _Meter(limits), True, _zfs_lower_bound(g))
+    return _first_hit(g, budget, True, _zfs_lower_bound(g))
 
 
-def _enumerate_min(g: Graph, k: int | None, limits: SolverLimits | None, connected: bool):
+def _enumerate_min(g: Graph, k: int | None, budget: int, connected: bool):
     """Drain the levels up to the minimum one, charging one per set in
     stream order, then yield that level's hits; each set is closed once."""
     kind = "minimum connected zero forcing sets" if connected else "minimum zero forcing sets"
-    meter = _Meter(limits)
-    meter.note = kind
-    z, found = _min_level(g, meter, _zfs_lower_bound(g), connected)
+    found = list(_min_level(g, _Meter(budget, kind), _zfs_lower_bound(g), connected))
+    z = found[0][0]
     if k is not None and k != z:
         raise WrongSize(f"{kind} have size {z}, not {k}")
-    for run, done in found:
+    for _, run, done in found:
         yield from _unrank_bits(g.n, run, _hits(done))
 
 
-def enumerate_min_zfs(g: Graph, k: int | None = None, limits: SolverLimits | None = None):
+def enumerate_min_zfs(g: Graph, k: int | None = None, budget: int = DEFAULT_BUDGET):
     """Yield every minimum zero forcing set, lexicographic order.
 
     ``k`` must equal the zero forcing number, WrongSize otherwise; None
     stands for it.  The budget bounds the drain of every level up to k.
     """
-    return _enumerate_min(g, k, limits, connected=False)
+    return _enumerate_min(g, k, budget, connected=False)
 
 
-def enumerate_min_czfs(g: Graph, k: int | None = None, limits: SolverLimits | None = None):
+def enumerate_min_czfs(g: Graph, k: int | None = None, budget: int = DEFAULT_BUDGET):
     """Yield every minimum connected zero forcing set, lexicographic order;
     ``k`` as for ``enumerate_min_zfs``."""
-    return _enumerate_min(g, k, limits, connected=True)
+    return _enumerate_min(g, k, budget, connected=True)
 
 
 def propagation_extrema(
-    g: Graph, connected: bool = False, limits: SolverLimits | None = None
+    g: Graph, connected: bool = False, budget: int = DEFAULT_BUDGET
 ) -> tuple[tuple[int, int], tuple[int, int]]:
     """((min pt, witness), (max pt, witness)) over all minimum (connected)
     zero forcing sets; witnesses are the first attaining sets in stream order.
@@ -327,7 +310,7 @@ def propagation_extrema(
     Runs and charges the phases of ``solve_report`` up to the one asked for.
     """
     fields, witnesses = {}, {}
-    _run_phases(g, _Meter(limits), _PHASES[: 1 + connected], fields, witnesses)
+    _run_phases(g, _Meter(budget), _PHASES[: 1 + connected], fields, witnesses)
     if connected:
         return (
             (fields["ptc_min"], witnesses["pt_c"]),
@@ -405,19 +388,31 @@ class SolveReport:
 
 
 def _min_level(g: Graph, meter: _Meter, start: int, connected: bool, closed=None):
-    """Drain the levels from ``start`` up to the first one that holds a
-    (connected) zero forcing set; returns its size and the ``(run, done)``
-    pairs that hold one.  Charges one per set in the stream.  ``closed``,
-    if given, holds the bitmaps of level ``start`` (see ``_level_stream``).
+    """Yield ``(k, run, done)`` for each run holding a (connected) zero
+    forcing set, on the first level k from ``start`` on that has one.
+
+    Charges one per set in the stream: a run's sets through its first hit
+    before the run is yielded, the rest when the caller resumes.  A budget
+    running out records k as a lower bound.  ``closed``, if given, holds
+    the bitmaps of level ``start`` (see ``_level_stream``).
     """
     for k in range(start, g.n + 1):
-        found = []
-        for run, ones, done in _level_stream(g, k, connected, closed):
-            meter.charge(ones.bit_count())
-            if done[-1]:
-                found.append((run, done))
-        if found:
-            return k, found
+        hit = False
+        try:
+            for run, ones, done in _level_stream(g, k, connected, closed):
+                if not done[-1]:
+                    meter.charge(ones.bit_count())
+                    continue
+                hit = True
+                through = ones & (2 << _lowest(_hits(done))) - 1
+                meter.charge(through.bit_count())
+                yield k, run, done
+                meter.charge((ones ^ through).bit_count())
+        except BudgetExceeded as exc:
+            exc.best_known["z_c_lower_bound" if connected else "z_lower_bound"] = k
+            raise
+        if hit:
+            return
         closed = None
     raise AssertionError("the full vertex set always forces")
 
@@ -427,7 +422,7 @@ def _level_summary(n: int, found):
     every witness is the first attaining set in stream order."""
     count = 0
     tmin = tmax = None
-    for run, done in found:
+    for _, run, done in found:
         count += _hits(done).bit_count()
         first = 0
         while not done[first]:
@@ -436,7 +431,7 @@ def _level_summary(n: int, found):
             tmin, at_min = first, (run, done[first])
         if tmax is None or len(done) - 1 > tmax:
             tmax, at_max = len(done) - 1, (run, done[-1])
-    run, done = found[0]
+    _, run, done = found[0]
     return (
         count,
         _unrank(n, run, _lowest(_hits(done))),
@@ -463,8 +458,9 @@ def _run_phases(g: Graph, meter: _Meter, phases, fields: dict, witnesses: dict):
         meter.note = notes[0]
         # Z <= Z_c: the connected phase starts on the level that the Z phase
         # has just closed, and reuses its bitmaps
-        k, found = _min_level(g, meter, k, connected, closed)
-        closed = dict(found)
+        found = list(_min_level(g, meter, k, connected, closed))
+        k = found[0][0]
+        closed = {run: done for _, run, done in found}
         count, witness, (tmin, wmin), (tmax, wmax) = _level_summary(g.n, found)
         fields[value], fields[count_key], witnesses[wk] = k, count, witness
         # pt of every minimum set came with its closure; charge one each
@@ -474,9 +470,9 @@ def _run_phases(g: Graph, meter: _Meter, phases, fields: dict, witnesses: dict):
         witnesses[wlo], witnesses[whi] = wmin, wmax
 
 
-def solve_report(g: Graph, limits: SolverLimits | None = None) -> SolveReport:
+def solve_report(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Compute Z, Z_c, and all four propagation-time extrema with witnesses."""
-    meter = _Meter(limits)
+    meter = _Meter(budget)
     fields = dict.fromkeys(
         ("z", "z_c", "pt_min", "pt_max", "ptc_min", "ptc_max", "min_zfs_count", "min_czfs_count")
     )

@@ -29,10 +29,9 @@ from .dsl import parse_graph_dsl
 from .graphs import Graph, certificate, is_connected, is_path_graph, new_graph
 from .recognize import min_extremal_spec, recognize_extremal_form
 from .solver import (
+    DEFAULT_BUDGET,
     BudgetExceeded,
-    SolverLimits,
     _first_hit,
-    _Meter,
     connected_zero_forcing_number,
     solve_report,
     zero_forcing_number,
@@ -86,7 +85,7 @@ def graph_to_instance(g: Graph) -> str:
 def _zs(g: Graph) -> dict:
     z, _ = zero_forcing_number(g)
     # every connected zero forcing set forces, so Z_c >= Z
-    z_c, _ = _first_hit(g, _Meter(None), True, z)
+    z_c, _ = _first_hit(g, DEFAULT_BUDGET, True, z)
     return {"z": z, "z_c": z_c}
 
 

@@ -133,7 +133,7 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(target.read_text())["z"] == 3
 
 
-def test_input_errors(capsys):
+def test_input_errors(capsys, tmp_path):
     code, _, err = run_cli(capsys, "compute", "frob(3)")
     assert code == 2
     assert json.loads(err)["error"] == "ParseError"
@@ -143,6 +143,19 @@ def test_input_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "compute", "--file", "/nonexistent/file")
     assert code == 2
+    # integers that are not ASCII digits, or too long for int()
+    nines = "9" * 5000
+    for term in ("path(²)", f"path({nines})", f"pc(1)[chords:1@{nines}]"):
+        code, _, err = run_cli(capsys, "compute", term)
+        assert code == 2 and json.loads(err)["error"] == "ParseError", term
+    for name, data in [
+        ("super.txt", "n ²\n".encode()),
+        ("long.txt", f"n {nines}\n".encode()),
+        ("binary.txt", b"\xff\xfe\x00"),
+    ]:
+        (tmp_path / name).write_bytes(data)
+        code, _, err = run_cli(capsys, "compute", "--file", str(tmp_path / name))
+        assert code == 2 and json.loads(err)["error"] == "GraphError", name
 
 
 def test_budget_exit_code(capsys):

@@ -3,8 +3,7 @@
 The bit-sliced connectivity kernel is checked set by set against
 ``is_connected_in_components``.  The connected queries are checked against
 the naive oracle at n <= 8 and, at n = 10-12, against a per-set reference
-that walks the connected k-sets in lexicographic order with ``_closure``
-and ``_propagation_steps``.  Test graphs have one to three components with
+that walks the connected k-sets in lexicographic order with ``_rounds``.  Test graphs have one to three components with
 interleaved vertex ids, so a set can meet several components.
 """
 
@@ -31,7 +30,6 @@ from zeroforcing.graphs import (
 )
 from zeroforcing.solver import (
     BudgetExceeded,
-    SolverLimits,
     connected_in_components_sets,
     connected_zero_forcing_number,
     enumerate_min_czfs,
@@ -159,9 +157,7 @@ def test_connected_phase_reuses_level_z(stream_setting, monkeypatch):
     masks the Z phase's bitmaps.  So when Z_c = Z the connected phase closes
     nothing, and the report still matches the per-set references."""
     calls, where = [], [None]
-    level_stream, batch_rounds, steps = (
-        solver._level_stream, solver._batch_rounds, solver._propagation_steps,
-    )
+    level_stream, batch_rounds, rounds = solver._level_stream, solver._batch_rounds, solver._rounds
 
     def tagged_stream(g, k, connected=False, *rest):
         where[0] = (k, connected)
@@ -175,7 +171,7 @@ def test_connected_phase_reuses_level_z(stream_setting, monkeypatch):
 
     monkeypatch.setattr(solver, "_level_stream", tagged_stream)
     monkeypatch.setattr(solver, "_batch_rounds", counted(batch_rounds))
-    monkeypatch.setattr(solver, "_propagation_steps", counted(steps))
+    monkeypatch.setattr(solver, "_rounds", counted(rounds))
     equal = set()
     for g in sample_graphs(13, 12, 4, 11):
         z, zhits, zbefore, zlevel = reference_z(g)
@@ -216,8 +212,7 @@ def test_first_hit_budget_edges(stream_setting):
         start = solver._zfs_lower_bound(g)
         zc, hits, before, level = reference_zc(g, start)
         needed = before + [m for m, _ in level].index(hits[0][0]) + 1
-        limits = SolverLimits(max_closures=needed)
-        assert connected_zero_forcing_number(g, limits) == (zc, hits[0][0])
+        assert connected_zero_forcing_number(g, needed) == (zc, hits[0][0])
         sizes = {k: len(connected_level(g, k)) for k in range(start, zc + 1)}
         ends, total = set(), 0
         for k in range(start, zc + 1):
@@ -228,7 +223,7 @@ def test_first_hit_budget_edges(stream_setting):
             if not 1 <= limit < needed:
                 continue
             with pytest.raises(BudgetExceeded) as info:
-                connected_zero_forcing_number(g, SolverLimits(max_closures=limit))
+                connected_zero_forcing_number(g, limit)
             assert info.value.closures == limit
             # the level that the (limit + 1)-th charge falls in
             k, left = start, limit
@@ -252,7 +247,7 @@ def test_drain_budget_edges(stream_setting):
         ptc_done = zc_done + len(hits)
         assert solve_report(g).closures == ptc_done
         for limit in (start, start + 1, zc_done - 1, zc_done, ptc_done - 1, ptc_done):
-            rep = solve_report(g, limits=SolverLimits(max_closures=limit))
+            rep = solve_report(g, budget=limit)
             assert rep.budget_exceeded == (limit < ptc_done)
             assert rep.closures == limit
             assert rep.pt_min is not None
@@ -267,14 +262,13 @@ def test_tiny_budget_bounds_the_connected_search():
     a budget of 10 must stop within the first run, without building the
     connected sets of the level first."""
     g = parse_graph_dsl("strong(cycle(6),cycle(6))")
-    limits = SolverLimits(max_closures=10)
     began = time.perf_counter()
     with pytest.raises(BudgetExceeded) as info:
-        connected_zero_forcing_number(g, limits)
+        connected_zero_forcing_number(g, 10)
     assert info.value.closures == 10
     assert info.value.best_known["z_c_lower_bound"] == 8
     with pytest.raises(BudgetExceeded):
-        list(enumerate_min_czfs(g, 8, limits))
+        list(enumerate_min_czfs(g, 8, 10))
     assert time.perf_counter() - began < 5
 
 
@@ -284,11 +278,11 @@ def test_enumerate_charges_its_drain(stream_setting):
     for g in sample_graphs(12, 6, 9, 11):
         zc, hits, before, level = reference_zc(g, solver._zfs_lower_bound(g))
         whole = before + len(level)
-        limits = SolverLimits(max_closures=whole)
-        assert list(enumerate_min_czfs(g, zc, limits)) == [m for m, _ in hits]
+        assert list(enumerate_min_czfs(g, zc, whole)) == [m for m, _ in hits]
         with pytest.raises(BudgetExceeded) as info:
-            list(enumerate_min_czfs(g, zc, SolverLimits(max_closures=whole - 1)))
+            list(enumerate_min_czfs(g, zc, whole - 1))
         assert info.value.closures == whole - 1
+        assert info.value.best_known["z_c_lower_bound"] == zc
 
 
 def test_enumerate_budget_bounds_the_whole_call():
@@ -296,11 +290,11 @@ def test_enumerate_budget_bounds_the_whole_call():
     value query passes; the drain of level 11 (24,050 minimum sets among
     its connected sets) must not run on past it uncharged."""
     g = parse_graph_dsl("strong(cycle(5),path(4))")
-    assert connected_zero_forcing_number(g, SolverLimits(max_closures=400110))[0] == 11
+    assert connected_zero_forcing_number(g, 400110)[0] == 11
     with pytest.raises(BudgetExceeded):
-        connected_zero_forcing_number(g, SolverLimits(max_closures=400109))
+        connected_zero_forcing_number(g, 400109)
     with pytest.raises(BudgetExceeded) as info:
-        list(enumerate_min_czfs(g, 11, SolverLimits(max_closures=400110)))
+        list(enumerate_min_czfs(g, 11, 400110))
     assert info.value.closures == 400110
-    whole = SolverLimits(max_closures=400110 + len(connected_in_components_sets(g, 11)))
+    whole = 400110 + len(connected_in_components_sets(g, 11))
     assert len(list(enumerate_min_czfs(g, 11, whole))) == 24050

@@ -11,7 +11,7 @@ from zeroforcing.families import complete, cycle, path, star, supertriangle
 from zeroforcing.forcing import (
     NotForcing,
     _batch_rounds,
-    _propagation_steps,
+    _rounds,
     derived_coloring,
     derived_coloring_sequential,
     forces_one_round,
@@ -182,8 +182,9 @@ def test_batch_rounds_matches_per_coloring_rounds(gmo):
     cols = [sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(g.n)]
     want = [0]
     for j, m in enumerate(masks):
-        t = _propagation_steps(g.adj, g.full_mask, m) if ones >> j & 1 else None
-        if t is not None:
-            want.extend([0] * (t + 1 - len(want)))
-            want[t] |= 1 << j
+        if ones >> j & 1:
+            black, t = _rounds(g.adj, g.full_mask, m)
+            if black == g.full_mask:
+                want.extend([0] * (t + 1 - len(want)))
+                want[t] |= 1 << j
     assert _batch_rounds(nbrs, cols, ones) == want

@@ -1,7 +1,7 @@
 """Differential tests of the all-k-sets level stream.
 
 The reference evaluates every k-subset on its own, in lexicographic order,
-with the scalar kernels ``_closure`` and ``_propagation_steps``.  The
+with the scalar round loop ``_rounds``.  The
 stream must give the same hit list and the same pt for every hit, at every
 run width and with or without the small-level scalar path.
 """
@@ -16,11 +16,10 @@ import pytest
 import zeroforcing.solver as solver
 from naive_oracle import min_forcing_sets, neighbor_sets, rounds_to_fill
 from zeroforcing.dsl import parse_graph_dsl
-from zeroforcing.forcing import _closure, _propagation_steps
+from zeroforcing.forcing import _rounds
 from zeroforcing.graphs import mask_of, new_graph
 from zeroforcing.solver import (
     BudgetExceeded,
-    SolverLimits,
     enumerate_min_zfs,
     propagation_extrema,
     solve_report,
@@ -37,8 +36,8 @@ def reference_level(g, k):
     out = []
     for combo in combinations(range(g.n), k):
         m = mask_of(combo)
-        forces = _closure(g.adj, g.full_mask, m) == g.full_mask
-        out.append((m, _propagation_steps(g.adj, g.full_mask, m) if forces else None))
+        black, t = _rounds(g.adj, g.full_mask, m)
+        out.append((m, t if black == g.full_mask else None))
     return out
 
 
@@ -149,11 +148,11 @@ def test_first_hit_budget_edges(stream_setting):
         g = random_graph(rnd, rnd.randint(9, 11))
         z, hits, before, level = reference_z(g)
         needed = before + [m for m, _ in level].index(hits[0][0]) + 1
-        assert zero_forcing_number(g, SolverLimits(max_closures=needed)) == (z, hits[0][0])
+        assert zero_forcing_number(g, needed) == (z, hits[0][0])
         for limit in (1, 2, 3, before, before + 1, needed - 1):
             if 1 <= limit < needed:
                 with pytest.raises(BudgetExceeded) as info:
-                    zero_forcing_number(g, SolverLimits(max_closures=limit))
+                    zero_forcing_number(g, limit)
                 assert info.value.closures == limit
                 assert info.value.best_known["z_lower_bound"] == level_running_out(g, limit)
                 checked += 1
@@ -171,7 +170,7 @@ def test_drain_budget_edges(stream_setting):
         for limit in (1, z_done - 1, z_done, z_done + 1, pt_done - 1, pt_done):
             if limit < 1:
                 continue
-            rep = solve_report(g, limits=SolverLimits(max_closures=limit))
+            rep = solve_report(g, budget=limit)
             if limit < pt_done:
                 assert rep.budget_exceeded and rep.closures == limit
             assert (rep.z is not None) == (limit >= z_done)
@@ -188,11 +187,11 @@ def test_enumerate_charges_its_drain(stream_setting):
         g = random_graph(rnd, rnd.randint(9, 11))
         z, hits, before, level = reference_z(g)
         whole = before + len(level)
-        limits = SolverLimits(max_closures=whole)
-        assert list(enumerate_min_zfs(g, z, limits)) == [m for m, _ in hits]
+        assert list(enumerate_min_zfs(g, z, whole)) == [m for m, _ in hits]
         with pytest.raises(BudgetExceeded) as info:
-            list(enumerate_min_zfs(g, z, SolverLimits(max_closures=whole - 1)))
+            list(enumerate_min_zfs(g, z, whole - 1))
         assert info.value.closures == whole - 1
+        assert info.value.best_known["z_lower_bound"] == z
 
 
 def test_propagation_extrema_runs_only_the_phases_it_needs():
@@ -208,29 +207,26 @@ def test_propagation_extrema_runs_only_the_phases_it_needs():
         z_phase = before + len(level) + len(hits)
         plain = ((rep.pt_min, w["pt"]), (rep.pt_max, w["PT"]))
         assert propagation_extrema(g) == plain
-        assert propagation_extrema(g, limits=SolverLimits(max_closures=z_phase)) == plain
+        assert propagation_extrema(g, budget=z_phase) == plain
         for limit in (before + 1, z_phase - 1):
             with pytest.raises(BudgetExceeded) as info:
-                propagation_extrema(g, limits=SolverLimits(max_closures=limit))
+                propagation_extrema(g, budget=limit)
             assert info.value.closures == limit
         connected = ((rep.ptc_min, w["pt_c"]), (rep.ptc_max, w["PT_c"]))
-        limits = SolverLimits(max_closures=rep.closures)
-        assert propagation_extrema(g, connected=True, limits=limits) == connected
-        limits = SolverLimits(max_closures=rep.closures - 1)
+        assert propagation_extrema(g, connected=True, budget=rep.closures) == connected
         with pytest.raises(BudgetExceeded):
-            propagation_extrema(g, connected=True, limits=limits)
+            propagation_extrema(g, connected=True, budget=rep.closures - 1)
 
 
 def test_tiny_budget_on_a_huge_level_returns_fast():
     """strong(C6, C6) starts at level 8 of 36 vertices (C(36, 8) ~ 30M sets);
     a budget of 10 must stop after one run, not after the whole level."""
     g = parse_graph_dsl("strong(cycle(6),cycle(6))")
-    limits = SolverLimits(max_closures=10)
     start = time.perf_counter()
-    rep = solve_report(g, limits=limits)
+    rep = solve_report(g, budget=10)
     assert rep.budget_exceeded and rep.closures == 10 and rep.z is None
     with pytest.raises(BudgetExceeded) as info:
-        zero_forcing_number(g, limits)
+        zero_forcing_number(g, 10)
     assert info.value.closures == 10
     assert info.value.best_known["z_lower_bound"] == 8
     assert time.perf_counter() - start < 10

@@ -20,7 +20,6 @@ from zeroforcing.forcing import is_czfs, is_zfs, propagation_time
 from zeroforcing.graphs import mask_of, new_graph, vertices_of
 from zeroforcing.solver import (
     BudgetExceeded,
-    SolverLimits,
     WrongSize,
     connected_in_components_sets,
     connected_zero_forcing_number,
@@ -170,12 +169,11 @@ def test_solve_report_json_shape():
 
 
 def test_budget_exhaustion():
-    limits = SolverLimits(max_closures=5)
     with pytest.raises(BudgetExceeded) as info:
-        zero_forcing_number(supertriangle(4), limits)
+        zero_forcing_number(supertriangle(4), 5)
     assert info.value.closures == 5
     assert info.value.best_known["z_lower_bound"] >= 2
-    rep = solve_report(supertriangle(4), limits=limits)
+    rep = solve_report(supertriangle(4), budget=5)
     assert rep.budget_exceeded
     assert rep.z is None
     assert rep.closures == 5
