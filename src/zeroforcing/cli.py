@@ -13,11 +13,12 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from pathlib import Path
 
 from .dsl import ParseError, parse_graph_dsl
 from .forcing import is_czfs, is_zfs, propagation_trace
-from .graphs import Graph, GraphError, parse_edge_list, vertices_of
+from .graphs import Graph, GraphError, ascii_int, parse_edge_list, vertices_of
 from .solver import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -106,7 +107,7 @@ def _budget(args) -> int:
     if not env:
         return DEFAULT_BUDGET
     try:
-        value = int(env)
+        value = ascii_int(env)
     except ValueError:
         raise SettingError(f"ZF_BUDGET must be an integer, got {env!r}") from None
     return _at_least("ZF_BUDGET", value, 0)
@@ -158,7 +159,7 @@ def _cmd_compute(args) -> int:
 def _cmd_trace(args) -> int:
     g = _load_graph(args)
     try:
-        seed = [int(tok) for tok in args.seed.split(",") if tok != ""]
+        seed = [ascii_int(tok) for tok in args.seed.split(",") if tok != ""]
     except ValueError:
         raise GraphError("--seed must be a comma-separated list of vertex ids") from None
     mask = 0
@@ -216,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compute", help="compute all parameters of a graph")
     _add_graph_input(p)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--budget", type=ascii_int)
+    p.add_argument("--jobs", type=ascii_int, default=1)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(fn=_cmd_compute)
 
@@ -230,12 +231,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="stream all minimum (connected) forcing sets")
     _add_graph_input(p)
     p.add_argument("--connected", action="store_true", help="minimum connected sets")
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=ascii_int)
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="machine-check the bundled claims")
     p.add_argument("--suite", choices=("named", "products", "exhaustive", "all"), default="all")
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=ascii_int, default=6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_verify)
@@ -248,9 +249,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of this process: ``parse_args`` keeps no state in it,
+    and building it costs about twenty times a parse."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.fn(args)
     except (ParseError, GraphError, SettingError) as exc:
         return _fail(type(exc).__name__, str(exc))

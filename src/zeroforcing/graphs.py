@@ -375,6 +375,19 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     return g.degree_sequence() == h.degree_sequence() and certificate(g) == certificate(h)
 
 
+def ascii_int(text: str) -> int:
+    """``text`` as an integer: ASCII digits with an optional leading '-'.
+
+    ValueError on anything else, and on more digits than ``int()``
+    converts.  ``int()`` alone also takes other scripts' digits,
+    surrounding whitespace, '+' and underscores.
+    """
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def parse_edge_list(text: str) -> Graph:
     """Parse the edge-list text format.
 
@@ -392,17 +405,17 @@ def parse_edge_list(text: str) -> Graph:
         if parts[0] == "n":
             if n is not None or edges:
                 raise GraphError(f"line {lineno}: header must come first")
-            if len(parts) != 2 or not (parts[1].isascii() and parts[1].isdigit()):
+            if len(parts) != 2:
                 raise GraphError(f"line {lineno}: malformed header")
             try:
-                n = int(parts[1])
-            except ValueError:  # more digits than int() converts
-                raise GraphError(f"line {lineno}: header order too long") from None
+                n = ascii_int(parts[1])
+            except ValueError:
+                raise GraphError(f"line {lineno}: malformed header") from None
             continue
         if len(parts) != 2:
             raise GraphError(f"line {lineno}: expected 'u v'")
         try:
-            u, v = int(parts[0]), int(parts[1])
+            u, v = ascii_int(parts[0]), ascii_int(parts[1])
         except ValueError:
             raise GraphError(f"line {lineno}: endpoints must be integers") from None
         if u < 0 or v < 0:

@@ -24,7 +24,7 @@ charges only its connected sets.  Every search runs in the calling process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 
@@ -323,7 +323,9 @@ def propagation_extrema(
 class SolveReport:
     """All six parameters with witnesses, counts, and metering stats.
 
-    Fields are None when a budget ran out before they were determined.
+    Fields are None when a budget ran out before they were determined;
+    ``lower_bounds`` then holds the level the search had reached
+    (``z_lower_bound`` or ``z_c_lower_bound``, see ``BudgetExceeded``).
     """
 
     n: int
@@ -339,6 +341,7 @@ class SolveReport:
     min_czfs_count: int | None
     closures: int
     budget_exceeded: bool
+    lower_bounds: dict = field(default_factory=dict)
 
     def __post_init__(self):
         # explicit checks, not asserts: they must also hold under python -O
@@ -383,7 +386,11 @@ class SolveReport:
                 "min_zfs": self.min_zfs_count,
                 "min_czfs": self.min_czfs_count,
             },
-            "budget": {"closures": self.closures, "exceeded": self.budget_exceeded},
+            "budget": {
+                "closures": self.closures,
+                "exceeded": self.budget_exceeded,
+                **self.lower_bounds,
+            },
         }
 
 
@@ -477,16 +484,18 @@ def solve_report(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveReport:
         ("z", "z_c", "pt_min", "pt_max", "ptc_min", "ptc_max", "min_zfs_count", "min_czfs_count")
     )
     witnesses = dict.fromkeys(("z", "z_c", "pt", "PT", "pt_c", "PT_c"))
-    exceeded = False
+    exceeded, lower_bounds = False, {}
     try:
         _run_phases(g, meter, _PHASES, fields, witnesses)
-    except BudgetExceeded:
-        exceeded = True
+    except BudgetExceeded as exc:
+        # a budget of 0 evaluates no set, so the search reached no level
+        exceeded, lower_bounds = True, exc.best_known if budget else {}
     return SolveReport(
         n=g.n,
         m=g.edge_count(),
         witnesses=witnesses,
         closures=meter.used,
         budget_exceeded=exceeded,
+        lower_bounds=lower_bounds,
         **fields,
     )

@@ -8,7 +8,9 @@ its ``--format csv`` prints the per-claim verdict counts.
 The exhaustive claims are evaluated once per isomorphism class, found by
 one-vertex augmentation and deduped by certificate (``graph_classes``);
 the findings are the relabelings of each violating class, and each such
-labeled graph is replayed on its own.
+labeled graph is checked as a standalone instance.  A suite call solves
+each distinct graph at most once: a per-run table (``_Solved``) holds the
+Z, Z_c and solve reports that every claim row and expected value reads.
 
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
@@ -31,6 +33,7 @@ from .recognize import min_extremal_spec, recognize_extremal_form
 from .solver import (
     DEFAULT_BUDGET,
     BudgetExceeded,
+    SolveReport,
     _first_hit,
     connected_zero_forcing_number,
     solve_report,
@@ -82,26 +85,40 @@ def graph_to_instance(g: Graph) -> str:
     return f"edges:n={g.n};" + ",".join(f"{u}-{v}" for u, v in g.edges())
 
 
-def _zs(g: Graph) -> dict:
-    z, _ = zero_forcing_number(g)
-    # every connected zero forcing set forces, so Z_c >= Z
-    z_c, _ = _first_hit(g, DEFAULT_BUDGET, True, z)
-    return {"z": z, "z_c": z_c}
+class _Solved:
+    """Z, Z_c and solve reports of the graphs one suite call checks, each
+    computed at most once per graph.
 
+    The caller owns the table and drops it with the run; ``replay_claim``
+    starts from an empty one.  Z and Z_c come from a report when one
+    exists, and Z_c's search starts at Z when Z is known: every connected
+    zero forcing set forces, so Z <= Z_c.
+    """
 
-def _z_only(g: Graph) -> dict:
-    z, _ = zero_forcing_number(g)
-    return {"z": z}
+    def __init__(self):
+        self._values: dict[Graph, dict[str, int]] = {}
+        self._reports: dict[Graph, SolveReport] = {}
 
+    def report(self, g: Graph) -> SolveReport:
+        rep = self._reports.get(g)
+        if rep is None:
+            rep = self._reports[g] = solve_report(g)
+        return rep
 
-def _zc_only(g: Graph) -> dict:
-    z_c, _ = connected_zero_forcing_number(g)
-    return {"z_c": z_c}
-
-
-def _on_report(fields):
-    """Claim compute function that passes ``fields`` the graph's report."""
-    return lambda g: fields(g, solve_report(g))
+    def value(self, g: Graph, key: str) -> int:
+        """Z (``key`` "z") or Z_c ("z_c") of g."""
+        known = self._values.setdefault(g, {})
+        if key not in known:
+            rep = self._reports.get(g)
+            if rep is not None and getattr(rep, key) is not None:
+                known[key] = getattr(rep, key)
+            elif key == "z":
+                known[key] = zero_forcing_number(g)[0]
+            elif "z" in known:
+                known[key] = _first_hit(g, DEFAULT_BUDGET, True, known["z"])[0]
+            else:
+                known[key] = connected_zero_forcing_number(g)[0]
+        return known[key]
 
 
 def _order_pair(g: Graph, rep) -> dict:
@@ -136,13 +153,12 @@ def _min_shape(g: Graph, rep) -> dict:
     }
 
 
-# exhaustive claim -> its fields from a graph and its report
-_EXHAUSTIVE_CLAIMS = {
-    "order/z-le-zc": _order_pair,
-    "path/four-equivalence": _path_equivalence,
-    "extremal/max-time-shape": _max_shape,
-    "extremal/min-time-shape": _min_shape,
-}
+_EXHAUSTIVE_CLAIMS = (
+    "order/z-le-zc",
+    "path/four-equivalence",
+    "extremal/max-time-shape",
+    "extremal/min-time-shape",
+)
 # exhaustive claims that speak of connected graphs only
 _CONNECTED_ONLY = ("path/four-equivalence", "extremal/min-time-shape")
 
@@ -183,37 +199,51 @@ def _eval_min_shape(expected: dict, computed: dict) -> bool:
     return (computed["pt_c"] == computed["n"] - 2) == computed["accepted"]
 
 
-# claim -> (compute fn of the instance's graph, evaluator, relation string, hard)
+_ZS = ("z", "z_c")
+
+# claim -> (computed fields, evaluator, relation string, hard); the fields
+# are the parameters ("z", "z_c") the claim reads, or a function of the
+# graph and its report
 CLAIMS = {
-    "named/path": (_zs, _eval_equal, "=", True),
-    "named/cycle": (_zs, _eval_equal, "=", True),
-    "named/complete": (_zs, _eval_equal, "=", True),
-    "named/wheel": (_zs, _eval_equal, "=", True),
-    "named/star": (_zs, _eval_equal, "=", True),
-    "named/supertriangle": (_zs, _eval_equal, "=", True),
-    "multipartite/general": (_zs, _eval_equal, "=", True),
-    "multipartite/star-or-complete-as-stated": (_zs, _eval_equal, "=", False),
-    "product/strong-cycle-path": (_zs, _eval_at_most, "<=", True),
-    "product/cartesian-path-layers-as-stated": (_zs, _eval_equal, "=", False),
-    "product/cartesian-factor-bound": (_zc_only, _eval_at_most, "<=", True),
-    "product/strong-grid": (_zs, _eval_grid, "= and <=", True),
-    "gencorona/zc-bound": (_zc_only, _eval_at_most, "<=", True),
-    "gencorona/zc-equality": (_zc_only, _eval_equal, "=", True),
-    "corona/z-bound": (_z_only, _eval_at_most, "<=", True),
-    "corona/zc-bound-as-stated": (_zc_only, _eval_at_most, "<=", False),
-    "corona/cycle-path-values": (_zs, _eval_equal, "=", True),
-    "corona/path-cycle-values": (_zs, _eval_equal, "=", True),
-    "order/z-le-zc": (_on_report(_order_pair), _eval_order, "<=", True),
-    "path/four-equivalence": (_on_report(_path_equivalence), _eval_path_equiv, "iff", True),
-    "extremal/max-time-shape": (_on_report(_max_shape), _eval_max_shape, "iff", False),
-    "extremal/min-time-shape": (_on_report(_min_shape), _eval_min_shape, "iff", False),
+    "named/path": (_ZS, _eval_equal, "=", True),
+    "named/cycle": (_ZS, _eval_equal, "=", True),
+    "named/complete": (_ZS, _eval_equal, "=", True),
+    "named/wheel": (_ZS, _eval_equal, "=", True),
+    "named/star": (_ZS, _eval_equal, "=", True),
+    "named/supertriangle": (_ZS, _eval_equal, "=", True),
+    "multipartite/general": (_ZS, _eval_equal, "=", True),
+    "multipartite/star-or-complete-as-stated": (_ZS, _eval_equal, "=", False),
+    "product/strong-cycle-path": (_ZS, _eval_at_most, "<=", True),
+    "product/cartesian-path-layers-as-stated": (_ZS, _eval_equal, "=", False),
+    "product/cartesian-factor-bound": (("z_c",), _eval_at_most, "<=", True),
+    "product/strong-grid": (_ZS, _eval_grid, "= and <=", True),
+    "gencorona/zc-bound": (("z_c",), _eval_at_most, "<=", True),
+    "gencorona/zc-equality": (("z_c",), _eval_equal, "=", True),
+    "corona/z-bound": (("z",), _eval_at_most, "<=", True),
+    "corona/zc-bound-as-stated": (("z_c",), _eval_at_most, "<=", False),
+    "corona/cycle-path-values": (_ZS, _eval_equal, "=", True),
+    "corona/path-cycle-values": (_ZS, _eval_equal, "=", True),
+    "order/z-le-zc": (_order_pair, _eval_order, "<=", True),
+    "path/four-equivalence": (_path_equivalence, _eval_path_equiv, "iff", True),
+    "extremal/max-time-shape": (_max_shape, _eval_max_shape, "iff", False),
+    "extremal/min-time-shape": (_min_shape, _eval_min_shape, "iff", False),
 }
 
 
-def _check(claim: str, instance: str, expected: dict) -> ClaimResult:
-    compute, evaluate, relation, hard = CLAIMS[claim]
+def _computed(solved: _Solved, claim: str, g: Graph) -> dict:
+    fields = CLAIMS[claim][0]
+    if callable(fields):
+        return fields(g, solved.report(g))
+    return {key: solved.value(g, key) for key in fields}
+
+
+def _check(
+    claim: str, instance: str, expected: dict, solved: _Solved | None = None
+) -> ClaimResult:
+    """One claim row; ``solved`` is the run's table, None checks from scratch."""
+    _, evaluate, relation, hard = CLAIMS[claim]
     try:
-        computed = compute(graph_from_instance(instance))
+        computed = _computed(solved or _Solved(), claim, graph_from_instance(instance))
     except BudgetExceeded as exc:
         return ClaimResult(
             claim, instance, relation, expected, {"closures": exc.closures},
@@ -241,11 +271,12 @@ def _partitions(total: int, max_part: int | None = None):
 
 def check_named_parameters() -> list[ClaimResult]:
     """Closed-form values of Z and Z_c for the named families."""
+    solved = _Solved()
     out = []
     for family, first, last, closed_form in _NAMED_FAMILIES:
         for n in range(first, last + 1):
             z, z_c = closed_form(n)
-            out.append(_check(f"named/{family}", f"{family}({n})", {"z": z, "z_c": z_c}))
+            out.append(_check(f"named/{family}", f"{family}({n})", {"z": z, "z_c": z_c}, solved))
     for total in range(2, _MULTIPARTITE_TOTAL + 1):
         for parts in _partitions(total):
             inst = "multipartite(" + ",".join(map(str, parts)) + ")"
@@ -257,9 +288,10 @@ def check_named_parameters() -> list[ClaimResult]:
             is_complete = parts[0] == 1
             is_star = len(parts) == 2 and parts[1] == 1
             if is_complete or is_star:
-                out.append(_check("multipartite/star-or-complete-as-stated", inst, expected))
+                claim = "multipartite/star-or-complete-as-stated"
             else:
-                out.append(_check("multipartite/general", inst, expected))
+                claim = "multipartite/general"
+            out.append(_check(claim, inst, expected, solved))
     return out
 
 
@@ -302,10 +334,11 @@ _CORONA_PATH_CYCLE = [(3, 6), (2, 3)]
 
 def check_product_bounds() -> list[ClaimResult]:
     """Bounds and values for strong/Cartesian products and coronas."""
+    solved = _Solved()
     out = []
     for n, m in _STRONG_CYCLE_PATH:
         inst = f"strong(cycle({n}),path({m}))"
-        out.append(_check("product/strong-cycle-path", inst, {"bound": n + 2 * m - 2}))
+        out.append(_check("product/strong-cycle-path", inst, {"bound": n + 2 * m - 2}, solved))
     for factor in _CARTESIAN_LAYER_FACTORS:
         base = parse_graph_dsl(factor)
         for t in (2, 3):
@@ -317,49 +350,46 @@ def check_product_bounds() -> list[ClaimResult]:
                     "product/cartesian-path-layers-as-stated",
                     inst,
                     {"z": base.n, "z_c": base.n},
+                    solved,
                 )
             )
     for a, b in _CARTESIAN_FACTOR_PAIRS:
         ga, gb = parse_graph_dsl(a), parse_graph_dsl(b)
-        zca, _ = connected_zero_forcing_number(ga)
-        zcb, _ = connected_zero_forcing_number(gb)
-        bound = min(zca * gb.n, zcb * ga.n)
-        out.append(_check("product/cartesian-factor-bound", f"cartesian({a},{b})", {"bound": bound}))
+        bound = min(solved.value(ga, "z_c") * gb.n, solved.value(gb, "z_c") * ga.n)
+        inst = f"cartesian({a},{b})"
+        out.append(_check("product/cartesian-factor-bound", inst, {"bound": bound}, solved))
     for n in range(1, 5):
         for m in range(1, 5):
             inst = f"strong(path({n}),path({m}))"
-            out.append(_check("product/strong-grid", inst, {"bound": n + m - 1}))
+            out.append(_check("product/strong-grid", inst, {"bound": n + m - 1}, solved))
     for base, parts in _GENCORONA_BOUND:
-        inst, bound = _gencorona_claim(base, parts)
-        out.append(_check("gencorona/zc-bound", inst, {"bound": bound}))
+        inst, bound = _gencorona_claim(solved, base, parts)
+        out.append(_check("gencorona/zc-bound", inst, {"bound": bound}, solved))
     for base, parts in _GENCORONA_EQUALITY:
-        inst, value = _gencorona_claim(base, parts)
-        out.append(_check("gencorona/zc-equality", inst, {"z_c": value}))
+        inst, value = _gencorona_claim(solved, base, parts)
+        out.append(_check("gencorona/zc-equality", inst, {"z_c": value}, solved))
     for a, b in _CORONA_BOUNDS:
         ga, gb = parse_graph_dsl(a), parse_graph_dsl(b)
-        zh, _ = zero_forcing_number(gb)
+        zh = solved.value(gb, "z")
         inst = f"corona({a},{b})"
-        out.append(_check("corona/z-bound", inst, {"bound": zero_forcing_number(ga)[0] + ga.n * zh}))
-        out.append(
-            _check(
-                "corona/zc-bound-as-stated",
-                inst,
-                {"bound": connected_zero_forcing_number(ga)[0] + ga.n * zh},
-            )
-        )
+        bound = solved.value(ga, "z") + ga.n * zh
+        out.append(_check("corona/z-bound", inst, {"bound": bound}, solved))
+        bound = solved.value(ga, "z_c") + ga.n * zh
+        out.append(_check("corona/zc-bound-as-stated", inst, {"bound": bound}, solved))
     for n, m in _CORONA_CYCLE_PATH:
         inst = f"corona(cycle({n}),path({m}))"
-        out.append(_check("corona/cycle-path-values", inst, {"z": n + 2, "z_c": 2 * n}))
+        out.append(_check("corona/cycle-path-values", inst, {"z": n + 2, "z_c": 2 * n}, solved))
     for n, m in _CORONA_PATH_CYCLE:
         inst = f"corona(path({n}),cycle({m}))"
-        out.append(_check("corona/path-cycle-values", inst, {"z": 2 * n + 1, "z_c": 3 * n}))
+        expected = {"z": 2 * n + 1, "z_c": 3 * n}
+        out.append(_check("corona/path-cycle-values", inst, expected, solved))
     return out
 
 
-def _gencorona_claim(base: str, parts) -> tuple[str, int]:
+def _gencorona_claim(solved: _Solved, base: str, parts) -> tuple[str, int]:
     """Instance text of gencorona(base; parts) and |base| + sum of Z(part)."""
     value = parse_graph_dsl(base).n
-    value += sum(zero_forcing_number(parse_graph_dsl(p))[0] for p in parts)
+    value += sum(solved.value(parse_graph_dsl(p), "z") for p in parts)
     return f"gencorona({base};{','.join(parts)})", value
 
 
@@ -395,15 +425,14 @@ def _orbit_codes(g: Graph, pairs) -> set[int]:
     }
 
 
-def _violated_claims(g: Graph, claims) -> set[str]:
+def _violated_claims(solved: _Solved, g: Graph, claims) -> set[str]:
     """The exhaustive claims among ``claims`` that g violates."""
-    rep = solve_report(g)
     connected = is_connected(g)
     return {
         c
         for c in claims
         if (connected or c not in _CONNECTED_ONLY)
-        and not CLAIMS[c][1]({}, _EXHAUSTIVE_CLAIMS[c](g, rep))
+        and not CLAIMS[c][1]({}, _computed(solved, c, g))
     }
 
 
@@ -415,11 +444,14 @@ def exhaustive_small_graphs(n_max: int = 6, claims=None) -> list[ClaimResult]:
     (claim, n) plus one replayed violated row per labeled counterexample:
     the relabelings of the violating classes, in code order.
     """
-    claims = tuple(claims) if claims is not None else tuple(_EXHAUSTIVE_CLAIMS)
+    claims = tuple(claims) if claims is not None else _EXHAUSTIVE_CLAIMS
     out = []
     for n in range(1, n_max + 1):
+        # one table per order: every claim row of a labeled graph, and of a
+        # class representative, reads one report, dropped when n is done
+        solved = _Solved()
         pairs = list(combinations(range(n), 2))
-        violated = [(g, _violated_claims(g, claims)) for g in graph_classes(n)]
+        violated = [(g, _violated_claims(solved, g, claims)) for g in graph_classes(n)]
         for c in claims:
             _, _, relation, hard = CLAIMS[c]
             codes = set()
@@ -434,7 +466,7 @@ def exhaustive_small_graphs(n_max: int = 6, claims=None) -> list[ClaimResult]:
             summary = {"graphs": 1 << len(pairs), "violations": len(found)}
             verdict = "violated" if found else "holds"
             out.append(ClaimResult(c, f"all-labeled(n={n})", relation, {}, summary, verdict, hard))
-            out.extend(_check(c, inst, {}) for inst in found)
+            out.extend(_check(c, inst, {}, solved) for inst in found)
     return out
 
 

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import zeroforcing.cli as cli
 import zeroforcing.solver as solver
 from zeroforcing.cli import main
 
@@ -264,3 +265,73 @@ def test_help_exits_zero(capsys):
         main(["compute", "--help"])
     assert info.value.code == 0
     assert "--budget" in capsys.readouterr().out
+
+
+def test_back_to_back_calls_share_no_state(capsys):
+    """main reuses one parser; a flag given to one call does not leak into
+    the next."""
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli._parser()
+    code, out, _ = run_cli(capsys, "compute", "supertriangle(4)", "--budget", "5")
+    assert code == 3 and json.loads(out)["budget"]["closures"] == 5
+    code, out, _ = run_cli(capsys, "compute", "supertriangle(4)")
+    assert code == 0
+    full = solver.solve_report(cli.parse_graph_dsl("supertriangle(4)"))
+    assert json.loads(out)["budget"] == {"closures": full.closures, "exceeded": False}
+    argv = ("verify", "--suite", "exhaustive", "--nmax", "2")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0 and out.startswith("claim,")
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and json.loads(out)[0]["instance"] == "all-labeled(n=1)"
+
+
+def test_non_ascii_integers_are_input_errors(capsys, tmp_path, monkeypatch):
+    """Every integer reader takes ASCII digits only: int() alone would read
+    Arabic-Indic digits as 0..9."""
+    edges = tmp_path / "g.edges"
+    edges.write_text("0 \u0661\n", "utf-8")
+    code, out, err = run_cli(capsys, "compute", "--file", str(edges))
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "GraphError"
+    code, out, err = run_cli(capsys, "trace", "path(3)", "--seed", "\u0660")
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == "GraphError"
+    for argv, named in (
+        (["compute", "path(3)", "--budget", "\u0663\u0660\u0660"], "--budget"),
+        (["enumerate", "path(3)", "--budget", "\u0663"], "--budget"),
+        (["compute", "path(3)", "--jobs", "\u0661"], "--jobs"),
+        (["verify", "--suite", "exhaustive", "--nmax", "\u0663"], "--nmax"),
+        (["compute", "path(3)", "--budget", "1_000"], "--budget"),
+        (["compute", "path(3)", "--budget", "+5"], "--budget"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        doc = json.loads(err)
+        assert doc["error"] == "SettingError" and named in doc["message"], argv
+    monkeypatch.setenv("ZF_BUDGET", "\u0663\u0660\u0660")
+    code, out, err = run_cli(capsys, "compute", "path(3)")
+    assert code == 2 and out == ""
+    doc = json.loads(err)
+    assert doc["error"] == "SettingError" and "ZF_BUDGET" in doc["message"]
+
+
+def test_negative_edge_list_id_keeps_its_error_kind(capsys, tmp_path):
+    edges = tmp_path / "g.edges"
+    edges.write_text("-1 2\n", "utf-8")
+    code, _, err = run_cli(capsys, "compute", "--file", str(edges))
+    assert code == 2 and json.loads(err)["error"] == "EndpointOutOfRange"
+
+
+def test_exceeded_budget_reports_the_level_reached(capsys):
+    """A tiny budget on strong(C6, C6) stops in the first run of level 8,
+    the min-degree bound, and the report says so."""
+    code, out, _ = run_cli(capsys, "compute", "strong(cycle(6),cycle(6))", "--budget", "10")
+    assert code == 3
+    doc = json.loads(out)
+    g = cli.parse_graph_dsl("strong(cycle(6),cycle(6))")
+    assert doc["budget"] == {
+        "closures": 10,
+        "exceeded": True,
+        "z_lower_bound": solver._zfs_lower_bound(g),
+    }
+    assert doc["budget"]["z_lower_bound"] == 8

@@ -152,3 +152,16 @@ def test_edge_list_random_round_trips():
         ]
         g = new_graph(n, edges)
         assert parse_edge_list(format_edge_list(g)) == g
+
+
+def test_ascii_int_reads_ascii_digits_only():
+    from zeroforcing.graphs import ascii_int
+
+    assert [ascii_int(t) for t in ("0", "12", "-3", "007")] == [0, 12, -3, 7]
+    # int() takes every one of these
+    for text in ("١", "٣٠", " 1", "1 ", "+1", "1_0", "-١"):
+        with pytest.raises(ValueError):
+            ascii_int(text)
+    for text in ("", "-", "--1", "1-", "x", "9" * 5000):
+        with pytest.raises(ValueError):
+            ascii_int(text)

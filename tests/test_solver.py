@@ -233,3 +233,23 @@ def test_report_invariants_hold_under_optimize(bad):
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("g", [star(6), cycle(6), wheel(6)], ids=["star6", "cycle6", "wheel6"])
+def test_exceeded_report_carries_the_level_reached(g):
+    """Under every budget that runs out, the report keeps the level its
+    search reached as a lower bound on the first unknown value; a report
+    that completes, or one with a budget of 0, carries no bound."""
+    full = solve_report(g)
+    for budget in range(full.closures + 1):
+        rep = solve_report(g, budget=budget)
+        bounds = rep.to_json_dict()["budget"]
+        assert list(bounds)[:2] == ["closures", "exceeded"]
+        if not rep.budget_exceeded or budget == 0:
+            assert rep.lower_bounds == {} and len(bounds) == 2
+        elif rep.z is None:
+            assert rep.lower_bounds.keys() == {"z_lower_bound"}
+            assert 1 <= bounds["z_lower_bound"] <= full.z
+        elif "z_c_lower_bound" in rep.lower_bounds:
+            assert rep.lower_bounds.keys() == {"z_c_lower_bound"}
+            assert full.z <= bounds["z_c_lower_bound"] <= full.z_c

@@ -4,6 +4,7 @@ from zeroforcing.verify import (
     check_product_bounds,
     csv_summary,
     exhaustive_small_graphs,
+    graph_classes,
     graph_from_instance,
     graph_to_instance,
     has_hard_violations,
@@ -101,3 +102,83 @@ def test_run_suites_sorted_and_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "claim,instances,holds,violated,budget_exceeded"
     assert len(lines) > 1
+
+
+def test_every_row_equals_its_replay_from_scratch():
+    """The per-run table changes no row: each equals a fresh replay."""
+    from dataclasses import asdict
+
+    for rows in (check_named_parameters(), check_product_bounds(), exhaustive_small_graphs(5)):
+        for r in rows:
+            if not r.instance.startswith("all-labeled"):
+                assert asdict(replay_claim(r)) == asdict(r), r.instance
+
+
+def count_solves(monkeypatch):
+    """Record every (graph, parameter) that verify asks the solver for."""
+    import zeroforcing.verify as verify
+
+    calls = []
+
+    def recorder(name, key):
+        real = getattr(verify, name)
+
+        def wrapped(g, *args, **kwargs):
+            calls.append((g, key(*args)))
+            return real(g, *args, **kwargs)
+
+        monkeypatch.setattr(verify, name, wrapped)
+
+    recorder("zero_forcing_number", lambda *a: "z")
+    recorder("connected_zero_forcing_number", lambda *a: "z_c")
+    recorder("_first_hit", lambda budget, connected, start: "z_c" if connected else "z")
+    recorder("solve_report", lambda *a: "report")
+    return calls
+
+
+def test_each_graph_parameter_is_solved_once_per_suite_call(monkeypatch):
+    calls = count_solves(monkeypatch)
+    for suite in (check_named_parameters, check_product_bounds):
+        calls.clear()
+        suite()
+        assert calls and len(set(calls)) == len(calls), suite.__name__
+    # the exhaustive suite solves per order n; one report per labeled graph
+    # serves a class representative and every finding row that lists it
+    calls.clear()
+    rows = exhaustive_small_graphs(5)
+    assert {key for _, key in calls} == {"report"}
+    assert len(set(calls)) == len(calls)
+    findings = {r.instance for r in rows if not r.instance.startswith("all-labeled")}
+    finding_rows = [r for r in rows if not r.instance.startswith("all-labeled")]
+    assert len(finding_rows) > len(findings)
+    assert len(calls) <= len(findings) + sum(1 for n in range(1, 6) for _ in graph_classes(n))
+
+
+def test_run_suites_keep_no_state_between_calls(monkeypatch):
+    calls = count_solves(monkeypatch)
+    first = run_suites("all", nmax=4)
+    solved_first = list(calls)
+    calls.clear()
+    second = run_suites("all", nmax=4)
+    assert second == first
+    # nothing carried over: the second call solves exactly what the first did
+    assert calls == solved_first
+
+
+def test_table_reads_values_off_a_report_and_starts_z_c_at_z(monkeypatch):
+    import zeroforcing.verify as verify
+    from zeroforcing.families import corona, cycle, path
+
+    g = corona(cycle(5), path(3))
+    first_hit = verify._first_hit
+    starts = []
+    monkeypatch.setattr(verify, "_first_hit", lambda *a: starts.append(a[3]) or first_hit(*a))
+    calls = count_solves(monkeypatch)
+    solved = verify._Solved()
+    rep = solved.report(g)
+    assert (solved.value(g, "z"), solved.value(g, "z_c"), solved.report(g)) == (7, 10, rep)
+    assert calls == [(g, "report")] and starts == []
+    # without a report, Z_c's search starts at the known Z
+    solved = verify._Solved()
+    assert (solved.value(g, "z"), solved.value(g, "z_c")) == (7, 10)
+    assert starts == [7]
