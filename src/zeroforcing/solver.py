@@ -7,10 +7,10 @@ of set: the k-sets of a level are closed in runs of up to ``_LEVEL_WIDTH``
 sets per call of the bit-sliced kernel, which also yields every set's
 propagation time.  For connected sets the stream first keeps, per run,
 the sets that the bit-sliced connectivity kernel finds connected in
-components, and closes only those.  A level of at most ``_SCALAR_LEVEL``
-sets is a single run with the same layout (``_pascal_row`` columns,
-``_unrank`` masks) and is evaluated set by set with ``forcing._rounds``,
-since a kernel call costs more than those few sets.  ``_min_level`` is the
+components, and closes only those.  A run of at most ``_SCALAR_LEVEL``
+sets, such as every level of a graph on at most 6 vertices, is evaluated
+set by set with ``forcing._rounds`` from its cached masks instead, since a
+kernel call costs more than those few sets.  ``_min_level`` is the
 one level search: value queries stop at its first hit, drains read the
 whole level.  ``solve_report`` closes level Z once: since Z <= Z_c, its
 connected phase starts there and masks the Z phase's round bitmaps with
@@ -34,7 +34,7 @@ from .graphs import Graph, components, connected_columns, vertices_of
 DEFAULT_BUDGET = 10**8
 # sets per bit-sliced kernel call in the level stream
 _LEVEL_WIDTH = 16384
-# levels this small skip the kernel and evaluate set by set
+# runs this small skip the kernel and evaluate set by set
 _SCALAR_LEVEL = 20
 
 
@@ -144,13 +144,10 @@ def _unrank_bits(n: int, run, bits: int):
 
 
 @lru_cache(maxsize=256)
-def _small_level(n: int, k: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Masks of a small level, lexicographic, and their bit-sliced columns;
-    shared by every graph of order n.  The level is one run of its own
-    width, not ``_LEVEL_WIDTH``, so the cache never depends on that."""
-    count = comb(n, k)
-    masks = tuple(_unrank_bits(n, (0, 0, k, count), (1 << count) - 1))
-    return masks, _pascal_row(n, k, 0, count)
+def _run_masks(n: int, run) -> tuple[int, ...]:
+    """Masks of a run's sets, in stream order; shared by every graph of
+    order n."""
+    return tuple(_unrank_bits(n, run, (1 << run[3]) - 1))
 
 
 def _level_columns(g: Graph, k: int, connected: bool):
@@ -178,41 +175,31 @@ def _level_stream(g: Graph, k: int, connected: bool = False, closed=None):
     """Yield ``(run, ones, done)`` for each run of level k, in stream order.
 
     ``ones`` holds the run's sets in the stream (see ``_level_columns``);
-    ``done`` is the per-round finished bitmap of ``_batch_rounds`` on them:
-    bit j of ``done[t]`` says the run's j-th set forces g in exactly t rounds.
+    ``done`` is the per-round finished bitmap of the run's kept sets: bit j
+    of ``done[t]`` says the run's j-th set forces g in exactly t rounds.
+    Runs of more than ``_SCALAR_LEVEL`` sets take it from ``_batch_rounds``,
+    smaller ones from ``_rounds`` set by set.
     ``closed`` maps the runs of level k that hold a zero forcing set to
     their ``done`` over all k-sets.  With it the stream closes nothing and
     restricts those bitmaps to ``ones``: every column of the kernel evolves
     on its own, so a set's rounds do not depend on the other sets of its run.
     """
-    n = g.n
-    if comb(n, k) > _SCALAR_LEVEL:
-        nbrs = _shape(g)[0]
-        for run, cols, ones in _level_columns(g, k, connected):
-            if closed is not None:
-                done = _restrict(closed.get(run, (0,)), ones)
-            else:
-                done = _batch_rounds(nbrs, cols, ones) if ones else [0]
-            yield run, ones, done
-        return
-    masks, cols = _small_level(n, k)
-    run = (0, 0, k, len(masks))
-    ones = (1 << len(masks)) - 1
-    if connected:
-        ones = connected_columns(*_shape(g), cols, ones)
-    if closed is not None:
-        yield run, ones, _restrict(closed.get(run, (0,)), ones)
-        return
-    # a kernel call costs more than these few sets: fill done set by set
-    adj, full = g.adj, g.full_mask
-    done = [0]
-    for j, m in enumerate(masks):
-        if ones >> j & 1:
-            black, t = _rounds(adj, full, m)
-            if black == full:
-                done.extend([0] * (t + 1 - len(done)))
-                done[t] |= 1 << j
-    yield run, ones, done
+    for run, cols, ones in _level_columns(g, k, connected):
+        if closed is not None:
+            done = _restrict(closed.get(run, (0,)), ones)
+        elif run[3] > _SCALAR_LEVEL:
+            done = _batch_rounds(_shape(g)[0], cols, ones) if ones else [0]
+        else:
+            # a kernel call costs more than these few sets: fill done set by set
+            adj, full = g.adj, g.full_mask
+            done = [0]
+            for j, m in enumerate(_run_masks(g.n, run)):
+                if ones >> j & 1:
+                    black, t = _rounds(adj, full, m)
+                    if black == full:
+                        done.extend([0] * (t + 1 - len(done)))
+                        done[t] |= 1 << j
+        yield run, ones, done
 
 
 def _restrict(done, ones: int) -> list[int]:
@@ -490,6 +477,10 @@ def solve_report(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveReport:
     except BudgetExceeded as exc:
         # a budget of 0 evaluates no set, so the search reached no level
         exceeded, lower_bounds = True, exc.best_known if budget else {}
+        if fields["z"] is not None and fields["z_c"] is None:
+            # Z <= Z_c bounds z_c even when the budget ran out on the Z
+            # level's propagation times, before the connected phase began
+            lower_bounds.setdefault("z_c_lower_bound", fields["z"])
     return SolveReport(
         n=g.n,
         m=g.edge_count(),

@@ -81,8 +81,13 @@ def graph_from_instance(desc: str) -> Graph:
     return parse_graph_dsl(desc)
 
 
+def _edges_instance(n: int, edges) -> str:
+    """The descriptor ``edges:n=N;u-v,...`` that ``graph_from_instance`` reads."""
+    return f"edges:n={n};" + ",".join(f"{u}-{v}" for u, v in edges)
+
+
 def graph_to_instance(g: Graph) -> str:
-    return f"edges:n={g.n};" + ",".join(f"{u}-{v}" for u, v in g.edges())
+    return _edges_instance(g.n, g.edges())
 
 
 class _Solved:
@@ -425,18 +430,18 @@ def _orbit_codes(g: Graph, pairs) -> set[int]:
     }
 
 
-def _violated_claims(solved: _Solved, g: Graph, claims) -> set[str]:
-    """The exhaustive claims among ``claims`` that g violates."""
+def _violated_claims(solved: _Solved, g: Graph) -> set[str]:
+    """The exhaustive claims that g violates."""
     connected = is_connected(g)
     return {
         c
-        for c in claims
+        for c in _EXHAUSTIVE_CLAIMS
         if (connected or c not in _CONNECTED_ONLY)
         and not CLAIMS[c][1]({}, _computed(solved, c, g))
     }
 
 
-def exhaustive_small_graphs(n_max: int = 6, claims=None) -> list[ClaimResult]:
+def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
     """Run the exhaustive checks over every labeled graph on 1..n_max vertices.
 
     The claims read only isomorphism invariants, so each class of
@@ -444,23 +449,21 @@ def exhaustive_small_graphs(n_max: int = 6, claims=None) -> list[ClaimResult]:
     (claim, n) plus one replayed violated row per labeled counterexample:
     the relabelings of the violating classes, in code order.
     """
-    claims = tuple(claims) if claims is not None else _EXHAUSTIVE_CLAIMS
     out = []
     for n in range(1, n_max + 1):
         # one table per order: every claim row of a labeled graph, and of a
         # class representative, reads one report, dropped when n is done
         solved = _Solved()
         pairs = list(combinations(range(n), 2))
-        violated = [(g, _violated_claims(solved, g, claims)) for g in graph_classes(n)]
-        for c in claims:
+        violated = [(g, _violated_claims(solved, g)) for g in graph_classes(n)]
+        for c in _EXHAUSTIVE_CLAIMS:
             _, _, relation, hard = CLAIMS[c]
             codes = set()
             for g, bad in violated:
                 if c in bad:
                     codes |= _orbit_codes(g, pairs)
             found = [
-                f"edges:n={n};"
-                + ",".join(f"{u}-{v}" for i, (u, v) in enumerate(pairs) if code >> i & 1)
+                _edges_instance(n, (p for i, p in enumerate(pairs) if code >> i & 1))
                 for code in sorted(codes)
             ]
             summary = {"graphs": 1 << len(pairs), "violations": len(found)}

@@ -1,6 +1,8 @@
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -335,3 +337,20 @@ def test_exceeded_budget_reports_the_level_reached(capsys):
         "z_lower_bound": solver._zfs_lower_bound(g),
     }
     assert doc["budget"]["z_lower_bound"] == 8
+
+
+def readme_commands():
+    """The commands of the fenced block under README's ``## Command line``,
+    each as an argv list without its comment."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
+
+
+@pytest.mark.parametrize("argv", readme_commands(), ids=" ".join)
+def test_readme_examples_run(capsys, monkeypatch, argv):
+    monkeypatch.delenv("ZF_BUDGET", raising=False)
+    assert argv[0] == "zf"
+    code, out, err = run_cli(capsys, *argv[1:])
+    assert code == 0, err
+    assert out

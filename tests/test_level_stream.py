@@ -3,7 +3,7 @@
 The reference evaluates every k-subset on its own, in lexicographic order,
 with the scalar round loop ``_rounds``.  The
 stream must give the same hit list and the same pt for every hit, at every
-run width and with or without the small-level scalar path.
+run width and with or without the small-run scalar path.
 """
 
 import random

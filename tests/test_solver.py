@@ -250,6 +250,8 @@ def test_exceeded_report_carries_the_level_reached(g):
         elif rep.z is None:
             assert rep.lower_bounds.keys() == {"z_lower_bound"}
             assert 1 <= bounds["z_lower_bound"] <= full.z
-        elif "z_c_lower_bound" in rep.lower_bounds:
+        elif rep.z_c is None:
             assert rep.lower_bounds.keys() == {"z_c_lower_bound"}
             assert full.z <= bounds["z_c_lower_bound"] <= full.z_c
+        else:
+            assert rep.lower_bounds == {}
