@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from functools import cache
 from pathlib import Path
 
@@ -32,6 +33,8 @@ EXIT_OK = 0
 EXIT_HARD_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
+# verify rows per encoder call: the JSON array is written block by block
+_BLOCK_ROWS = 256
 
 
 class SettingError(ValueError):
@@ -67,12 +70,22 @@ def _json_text(obj) -> str:
     return json.dumps(obj, indent=2) + "\n"
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(text, out_path: str | None):
+    """Write ``text``, a string or an iterable of strings, to ``out_path`` or stdout."""
+    chunks = (text,) if isinstance(text, str) else text
+    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
+        fh.writelines(chunks)
+
+
+def _json_rows(rows):
+    """``_json_text`` of the rows' JSON dicts, encoded ``_BLOCK_ROWS`` rows at a time."""
+    encode, opening = json.JSONEncoder(indent=2).encode, "[\n"
+    for i in range(0, len(rows), _BLOCK_ROWS):
+        block = encode([r.to_json_dict() for r in rows[i : i + _BLOCK_ROWS]])
+        # strip the block's own "[\n" and "\n]"
+        yield opening + block[2:-2]
+        opening = ",\n"
+    yield "\n]\n"
 
 
 def _fail(kind: str, message: str) -> int:
@@ -192,7 +205,7 @@ def _cmd_verify(args) -> int:
     if args.format == "csv":
         _emit(csv_summary(results), args.out)
     else:
-        _emit(_json_text([r.to_json_dict() for r in results]), args.out)
+        _emit(_json_rows(results), args.out)
     if any(r.verdict == "budget-exceeded" for r in results):
         return EXIT_BUDGET
     return EXIT_HARD_VIOLATION if has_hard_violations(results) else EXIT_OK

@@ -19,7 +19,8 @@ each run's connectivity mask instead of closing again.
 Work is metered in candidate evaluations (one closure per candidate, one
 per propagation-time measurement), at most ``budget`` of them per call.
 Charging follows the deterministic stream order, and a connected stream
-charges only its connected sets.  Every search runs in the calling process.
+charges only its connected sets, and the meter keeps the lower bound that
+an exhausted budget reports.  Every search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -39,7 +40,12 @@ _SCALAR_LEVEL = 20
 
 
 class BudgetExceeded(RuntimeError):
-    """The closure-evaluation budget ran out before an exact answer."""
+    """The closure-evaluation budget ran out before an exact answer.
+
+    ``best_known`` is the lower bound that the search's meter held then:
+    the level k reached, as ``z_lower_bound`` or ``z_c_lower_bound`` (Z
+    bounds Z_c).  It is empty once Z_c is known, and at budget 0.
+    """
 
     def __init__(self, message: str, closures: int, best_known: dict | None = None):
         super().__init__(message)
@@ -52,12 +58,16 @@ class WrongSize(ValueError):
 
 
 class _Meter:
-    __slots__ = ("limit", "used", "note")
+    """The one record of a budgeted search: the budget, the evaluations
+    charged, the work under way and the lower bound shown so far."""
 
-    def __init__(self, budget: int, note: str = ""):
+    __slots__ = ("limit", "used", "note", "bound")
+
+    def __init__(self, budget: int):
         self.limit = budget
         self.used = 0
-        self.note = note
+        self.note = ""
+        self.bound = {}
 
     def charge(self, count: int):
         """Charge ``count`` evaluations, as that many single charges would."""
@@ -67,6 +77,7 @@ class _Meter:
             raise BudgetExceeded(
                 f"budget of {self.limit} closure evaluations exhausted ({self.note})",
                 closures=self.limit,
+                best_known=self.bound if self.limit else {},
             )
 
 
@@ -244,8 +255,7 @@ def _first_hit(g: Graph, budget: int, connected: bool, start: int) -> tuple[int,
     """Smallest level from ``start`` on holding a (connected) zero forcing
     set, with the first such set in stream order.  Charged through the hit;
     ``start`` must be at most that level."""
-    meter = _Meter(budget, "connected zero forcing number" if connected else "zero forcing number")
-    k, run, done = next(_min_level(g, meter, start, connected))
+    k, run, done = next(_min_level(g, _Meter(budget), start, connected))
     return k, _unrank(g.n, run, _lowest(_hits(done)))
 
 
@@ -264,11 +274,10 @@ def connected_zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> tup
 def _enumerate_min(g: Graph, k: int | None, budget: int, connected: bool):
     """Drain the levels up to the minimum one, charging one per set in
     stream order, then yield that level's hits; each set is closed once."""
-    kind = "minimum connected zero forcing sets" if connected else "minimum zero forcing sets"
-    found = list(_min_level(g, _Meter(budget, kind), _zfs_lower_bound(g), connected))
+    found = list(_min_level(g, _Meter(budget), _zfs_lower_bound(g), connected))
     z = found[0][0]
     if k is not None and k != z:
-        raise WrongSize(f"{kind} have size {z}, not {k}")
+        raise WrongSize(f"minimum {_PHASES[connected][0]} sets have size {z}, not {k}")
     for _, run, done in found:
         yield from _unrank_bits(g.n, run, _hits(done))
 
@@ -298,12 +307,8 @@ def propagation_extrema(
     """
     fields, witnesses = {}, {}
     _run_phases(g, _Meter(budget), _PHASES[: 1 + connected], fields, witnesses)
-    if connected:
-        return (
-            (fields["ptc_min"], witnesses["pt_c"]),
-            (fields["ptc_max"], witnesses["PT_c"]),
-        )
-    return (fields["pt_min"], witnesses["pt"]), (fields["pt_max"], witnesses["PT"])
+    *_, (lo, hi), (_, wlo, whi) = _PHASES[connected]
+    return (fields[lo], witnesses[wlo]), (fields[hi], witnesses[whi])
 
 
 @dataclass(frozen=True)
@@ -311,8 +316,9 @@ class SolveReport:
     """All six parameters with witnesses, counts, and metering stats.
 
     Fields are None when a budget ran out before they were determined;
-    ``lower_bounds`` then holds the level the search had reached
-    (``z_lower_bound`` or ``z_c_lower_bound``, see ``BudgetExceeded``).
+    ``lower_bounds`` is then the ``best_known`` of the ``BudgetExceeded``
+    that stopped the search: the meter's lower bound on the first unknown
+    value, by the same rule as every other entry point.
     """
 
     n: int
@@ -334,17 +340,11 @@ class SolveReport:
         # explicit checks, not asserts: they must also hold under python -O
         if self.z is not None and self.z_c is not None and not self.z <= self.z_c:
             raise ValueError(f"z = {self.z} exceeds z_c = {self.z_c}")
-        if self.pt_min is not None and self.pt_max is not None:
-            if not self.pt_min <= self.pt_max <= self.n - self.z:
+        for _, _, value, _, (lo, hi), _ in _PHASES:
+            k, tmin, tmax = getattr(self, value), getattr(self, lo), getattr(self, hi)
+            if tmin is not None and tmax is not None and not tmin <= tmax <= self.n - k:
                 raise ValueError(
-                    f"need pt <= PT <= n - z, got {self.pt_min}, {self.pt_max}, "
-                    f"{self.n} - {self.z}"
-                )
-        if self.ptc_min is not None and self.ptc_max is not None:
-            if not self.ptc_min <= self.ptc_max <= self.n - self.z_c:
-                raise ValueError(
-                    f"need pt_c <= PT_c <= n - z_c, got {self.ptc_min}, {self.ptc_max}, "
-                    f"{self.n} - {self.z_c}"
+                    f"need {lo} <= {hi} <= n - {value}, got {tmin}, {tmax}, {self.n} - {k}"
                 )
 
     def to_json_dict(self) -> dict:
@@ -361,18 +361,8 @@ class SolveReport:
             "PT": self.pt_max,
             "pt_c": self.ptc_min,
             "PT_c": self.ptc_max,
-            "witnesses": {
-                "z": wit("z"),
-                "z_c": wit("z_c"),
-                "pt": wit("pt"),
-                "PT": wit("PT"),
-                "pt_c": wit("pt_c"),
-                "PT_c": wit("PT_c"),
-            },
-            "counts": {
-                "min_zfs": self.min_zfs_count,
-                "min_czfs": self.min_czfs_count,
-            },
+            "witnesses": {key: wit(key) for key in ("z", "z_c", "pt", "PT", "pt_c", "PT_c")},
+            "counts": {"min_zfs": self.min_zfs_count, "min_czfs": self.min_czfs_count},
             "budget": {
                 "closures": self.closures,
                 "exceeded": self.budget_exceeded,
@@ -386,25 +376,23 @@ def _min_level(g: Graph, meter: _Meter, start: int, connected: bool, closed=None
     forcing set, on the first level k from ``start`` on that has one.
 
     Charges one per set in the stream: a run's sets through its first hit
-    before the run is yielded, the rest when the caller resumes.  A budget
-    running out records k as a lower bound.  ``closed``, if given, holds
-    the bitmaps of level ``start`` (see ``_level_stream``).
+    before the run is yielded, the rest when the caller resumes.  Each
+    level's k goes on the meter as a lower bound.  ``closed``, if given,
+    holds the bitmaps of level ``start`` (see ``_level_stream``).
     """
+    name, key = _PHASES[connected][:2]
     for k in range(start, g.n + 1):
+        meter.note, meter.bound = f"{name} sets of size {k}", {key: k}
         hit = False
-        try:
-            for run, ones, done in _level_stream(g, k, connected, closed):
-                if not done[-1]:
-                    meter.charge(ones.bit_count())
-                    continue
-                hit = True
-                through = ones & (2 << _lowest(_hits(done))) - 1
-                meter.charge(through.bit_count())
-                yield k, run, done
-                meter.charge((ones ^ through).bit_count())
-        except BudgetExceeded as exc:
-            exc.best_known["z_c_lower_bound" if connected else "z_lower_bound"] = k
-            raise
+        for run, ones, done in _level_stream(g, k, connected, closed):
+            if not done[-1]:
+                meter.charge(ones.bit_count())
+                continue
+            hit = True
+            through = ones & (2 << _lowest(_hits(done))) - 1
+            meter.charge(through.bit_count())
+            yield k, run, done
+            meter.charge((ones ^ through).bit_count())
         if hit:
             return
         closed = None
@@ -434,12 +422,13 @@ def _level_summary(n: int, found):
     )
 
 
-# per phase: connected, value and count fields, pt fields, witness keys, meter notes
+# per search kind, indexed by ``connected``: name, lower-bound key, value
+# and count fields, pt fields, witness keys
 _PHASES = (
-    (False, "z", "min_zfs_count", ("pt_min", "pt_max"), ("z", "pt", "PT"),
-     ("zero forcing number", "propagation extrema")),
-    (True, "z_c", "min_czfs_count", ("ptc_min", "ptc_max"), ("z_c", "pt_c", "PT_c"),
-     ("connected zero forcing number", "connected propagation extrema")),
+    ("zero forcing", "z_lower_bound", "z", "min_zfs_count",
+     ("pt_min", "pt_max"), ("z", "pt", "PT")),
+    ("connected zero forcing", "z_c_lower_bound", "z_c", "min_czfs_count",
+     ("ptc_min", "ptc_max"), ("z_c", "pt_c", "PT_c")),
 )
 
 
@@ -448,8 +437,7 @@ def _run_phases(g: Graph, meter: _Meter, phases, fields: dict, witnesses: dict):
     last one stopped, filling ``fields`` and ``witnesses`` as each value
     becomes known."""
     k, closed = _zfs_lower_bound(g), None
-    for connected, value, count_key, (lo, hi), (wk, wlo, whi), notes in phases:
-        meter.note = notes[0]
+    for connected, (name, _, value, count_key, (lo, hi), (wk, wlo, whi)) in enumerate(phases):
         # Z <= Z_c: the connected phase starts on the level that the Z phase
         # has just closed, and reuses its bitmaps
         found = list(_min_level(g, meter, k, connected, closed))
@@ -457,8 +445,10 @@ def _run_phases(g: Graph, meter: _Meter, phases, fields: dict, witnesses: dict):
         closed = {run: done for _, run, done in found}
         count, witness, (tmin, wmin), (tmax, wmax) = _level_summary(g.n, found)
         fields[value], fields[count_key], witnesses[wk] = k, count, witness
-        # pt of every minimum set came with its closure; charge one each
-        meter.note = notes[1]
+        # pt of every minimum set came with its closure; charge one each.
+        # Z <= Z_c again: the Z phase leaves Z as a lower bound on Z_c
+        meter.note = f"propagation times of the minimum {name} sets"
+        meter.bound = {} if connected else {_PHASES[True][1]: k}
         meter.charge(count)
         fields[lo], fields[hi] = tmin, tmax
         witnesses[wlo], witnesses[whi] = wmin, wmax
@@ -475,12 +465,7 @@ def solve_report(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveReport:
     try:
         _run_phases(g, meter, _PHASES, fields, witnesses)
     except BudgetExceeded as exc:
-        # a budget of 0 evaluates no set, so the search reached no level
-        exceeded, lower_bounds = True, exc.best_known if budget else {}
-        if fields["z"] is not None and fields["z_c"] is None:
-            # Z <= Z_c bounds z_c even when the budget ran out on the Z
-            # level's propagation times, before the connected phase began
-            lower_bounds.setdefault("z_c_lower_bound", fields["z"])
+        exceeded, lower_bounds = True, exc.best_known
     return SolveReport(
         n=g.n,
         m=g.edge_count(),

@@ -22,13 +22,14 @@ unstated hypotheses, and the findings document exactly where).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 
 from . import families
 from .dsl import parse_graph_dsl
-from .graphs import Graph, certificate, is_connected, is_path_graph, new_graph
+from .graphs import Graph, GraphError, certificate, is_connected, is_path_graph, new_graph
 from .recognize import min_extremal_spec, recognize_extremal_form
 from .solver import (
     DEFAULT_BUDGET,
@@ -67,18 +68,20 @@ class ClaimResult:
 
 
 def graph_from_instance(desc: str) -> Graph:
-    """Rebuild a graph from a ClaimResult instance descriptor."""
-    if desc.startswith("edges:"):
-        body = desc[len("edges:") :]
-        head, _, rest = body.partition(";")
-        n = int(head.split("=", 1)[1])
-        edges = []
-        if rest:
-            for token in rest.split(","):
-                u, _, v = token.partition("-")
-                edges.append((int(u), int(v)))
-        return new_graph(n, edges)
-    return parse_graph_dsl(desc)
+    """Rebuild a graph from a ClaimResult instance descriptor; an ``edges:``
+    one takes ASCII digits only, GraphError otherwise."""
+    if not desc.startswith("edges:"):
+        return parse_graph_dsl(desc)
+    # one full match checks the whole descriptor, so int() sees ASCII digits only
+    match = re.fullmatch(r"edges:n=(\d+);(\d+-\d+(?:,\d+-\d+)*)?", desc, re.ASCII)
+    try:
+        if match is None:
+            raise ValueError(desc)
+        ends = list(map(int, match[2].replace("-", ",").split(","))) if match[2] else []
+        n = int(match[1])
+    except ValueError:  # also more digits than int() converts
+        raise GraphError(f"malformed instance descriptor {desc!r}") from None
+    return new_graph(n, zip(ends[::2], ends[1::2]))
 
 
 def _edges_instance(n: int, edges) -> str:

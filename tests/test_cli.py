@@ -354,3 +354,22 @@ def test_readme_examples_run(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv[1:])
     assert code == 0, err
     assert out
+
+
+@pytest.mark.parametrize("suite", ["named", "products"])
+def test_streamed_verify_document_is_one_dump(capsys, tmp_path, monkeypatch, suite):
+    """Encoding the rows block by block gives the bytes of one json.dumps
+    of the whole array, on stdout and through --out, whatever the block
+    size: blocks of 1 and 7 rows put block edges inside every suite."""
+    from zeroforcing.verify import run_suites
+
+    rows = run_suites(suite=suite)
+    expected = json.dumps([r.to_json_dict() for r in rows], indent=2) + "\n"
+    assert len(rows) > 7 and len(rows) % 7
+    for block in (1, 7, cli._BLOCK_ROWS):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 0 and out == expected
+        path = tmp_path / f"{suite}-{block}.json"
+        assert main(["verify", "--suite", suite, "--out", str(path)]) == 0
+        assert path.read_text() == expected

@@ -255,3 +255,42 @@ def test_exceeded_report_carries_the_level_reached(g):
             assert full.z <= bounds["z_c_lower_bound"] <= full.z_c
         else:
             assert rep.lower_bounds == {}
+
+
+@pytest.mark.parametrize(
+    "g",
+    [star(6), cycle(6), wheel(6), new_graph(5, [(0, 1)])],
+    ids=["star6", "cycle6", "wheel6", "one_edge5"],
+)
+def test_every_entry_point_reports_the_bound_by_one_rule(g):
+    """propagation_extrema runs out exactly where solve_report does, with
+    the report's lower bounds as its best_known; pt and PT need only the Z
+    phase, so the plain query stops raising once that phase is charged.
+    A budget of 0 evaluates no set, so no entry point reports a bound."""
+    full = solve_report(g)
+    z_phase_done = False
+    for budget in range(full.closures + 1):
+        rep = solve_report(g, budget=budget)
+        for connected in (False, True):
+            try:
+                propagation_extrema(g, connected, budget)
+            except BudgetExceeded as exc:
+                assert rep.budget_exceeded and exc.closures == budget
+                assert exc.best_known == rep.lower_bounds
+                assert connected or not z_phase_done
+            else:
+                assert not (connected and rep.budget_exceeded)
+                z_phase_done = z_phase_done or not connected
+    assert z_phase_done
+    assert solve_report(g, budget=0).lower_bounds == {}
+    for call in (
+        lambda: zero_forcing_number(g, 0),
+        lambda: connected_zero_forcing_number(g, 0),
+        lambda: list(enumerate_min_zfs(g, budget=0)),
+        lambda: list(enumerate_min_czfs(g, budget=0)),
+        lambda: propagation_extrema(g, budget=0),
+        lambda: propagation_extrema(g, True, 0),
+    ):
+        with pytest.raises(BudgetExceeded) as info:
+            call()
+        assert info.value.best_known == {} and info.value.closures == 0

@@ -1,4 +1,6 @@
-from zeroforcing.graphs import new_graph
+import pytest
+
+from zeroforcing.graphs import GraphError, new_graph
 from zeroforcing.verify import (
     check_named_parameters,
     check_product_bounds,
@@ -182,3 +184,29 @@ def test_table_reads_values_off_a_report_and_starts_z_c_at_z(monkeypatch):
     solved = verify._Solved()
     assert (solved.value(g, "z"), solved.value(g, "z_c")) == (7, 10)
     assert starts == [7]
+
+
+@pytest.mark.parametrize(
+    "desc",
+    [
+        "edges:n=٣;0-1",  # Arabic-Indic three
+        "edges:n=+3;0-1",
+        "edges:n= 3;0-1",
+        "edges:n=3;0- 1",
+        "edges:n=12;1_0-1",
+        "edges:n3;0-1",
+        "edges:n=3;0-1,",
+        "edges:n=3;0-1-2",
+        "edges:n=3;0",
+        "edges:m=3;0-1",
+        "edges:n=3;-1-2",
+        "edges:n=3",
+        "edges:n=3;0-" + "1" * 5000,  # more digits than int() converts
+    ],
+)
+def test_malformed_edges_descriptor_is_a_graph_error(desc):
+    """The order and ids of an edges descriptor are ASCII digits only."""
+    with pytest.raises(GraphError):
+        graph_from_instance(desc)
+    assert graph_from_instance("edges:n=12;10-1,0-11") == new_graph(12, [(10, 1), (0, 11)])
+    assert graph_from_instance("edges:n=3;") == new_graph(3, [])
