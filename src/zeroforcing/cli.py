@@ -5,6 +5,8 @@ DSL term (positional argument) or an edge-list file via --file (use '-'
 for stdin).  Exit codes: 0 success, 1 violated hard claims, 2 input
 errors, 3 budget exhaustion.  Every input error, malformed flags
 included, goes to stderr as a JSON object ``{"error": ..., "message": ...}``.
+So does an exhausted ``enumerate``, whose object also carries ``closures``
+and the search's lower bound; ``compute`` says so in its report.
 """
 
 from __future__ import annotations
@@ -88,9 +90,10 @@ def _json_rows(rows):
     yield "\n]\n"
 
 
-def _fail(kind: str, message: str) -> int:
-    sys.stderr.write(_json_text({"error": kind, "message": message}))
-    return EXIT_INPUT_ERROR
+def _fail(kind: str, message: str, code: int = EXIT_INPUT_ERROR, **fields) -> int:
+    """Write the one error object of this run to stderr; return ``code``."""
+    sys.stderr.write(_json_text({"error": kind, "message": message, **fields}))
+    return code
 
 
 def _load_graph(args) -> Graph:
@@ -195,8 +198,9 @@ def _cmd_trace(args) -> int:
 def _cmd_enumerate(args) -> int:
     g = _load_graph(args)
     enumerate_min = enumerate_min_czfs if args.connected else enumerate_min_zfs
-    lines = [",".join(map(str, vertices_of(m))) for m in enumerate_min(g, budget=_budget(args))]
-    _emit("\n".join(lines) + "\n", args.out)
+    # the search runs at the call, so an exhausted budget opens no --out file
+    sets = enumerate_min(g, budget=_budget(args))
+    _emit((",".join(map(str, vertices_of(m))) + "\n" for m in sets), args.out)
     return EXIT_OK
 
 
@@ -278,12 +282,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         return _fail("IOError", str(exc))
     except BudgetExceeded as exc:
-        sys.stderr.write(
-            _json_text(
-                {"error": "BudgetExceeded", "message": str(exc), "closures": exc.closures}
-            )
-        )
-        return EXIT_BUDGET
+        return _fail("BudgetExceeded", str(exc), EXIT_BUDGET, closures=exc.closures, **exc.best_known)
 
 
 if __name__ == "__main__":

@@ -272,28 +272,30 @@ def connected_zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> tup
 
 
 def _enumerate_min(g: Graph, k: int | None, budget: int, connected: bool):
-    """Drain the levels up to the minimum one, charging one per set in
-    stream order, then yield that level's hits; each set is closed once."""
+    """Drain the levels up to the minimum one now, charging one per set in
+    stream order; return an iterator over that level's hits."""
     found = list(_min_level(g, _Meter(budget), _zfs_lower_bound(g), connected))
     z = found[0][0]
     if k is not None and k != z:
         raise WrongSize(f"minimum {_PHASES[connected][0]} sets have size {z}, not {k}")
-    for _, run, done in found:
-        yield from _unrank_bits(g.n, run, _hits(done))
+    return (m for _, run, done in found for m in _unrank_bits(g.n, run, _hits(done)))
 
 
 def enumerate_min_zfs(g: Graph, k: int | None = None, budget: int = DEFAULT_BUDGET):
-    """Yield every minimum zero forcing set, lexicographic order.
+    """An iterator over every minimum zero forcing set, lexicographic order.
 
     ``k`` must equal the zero forcing number, WrongSize otherwise; None
-    stands for it.  The budget bounds the drain of every level up to k.
+    stands for it.  The budget bounds the drain of every level up to k,
+    which runs at the call: BudgetExceeded and WrongSize raise there,
+    before any set is yielded.
     """
     return _enumerate_min(g, k, budget, connected=False)
 
 
 def enumerate_min_czfs(g: Graph, k: int | None = None, budget: int = DEFAULT_BUDGET):
-    """Yield every minimum connected zero forcing set, lexicographic order;
-    ``k`` as for ``enumerate_min_zfs``."""
+    """An iterator over every minimum connected zero forcing set,
+    lexicographic order; ``k``, the budget and the errors as for
+    ``enumerate_min_zfs``."""
     return _enumerate_min(g, k, budget, connected=True)
 
 

@@ -36,7 +36,6 @@ from .solver import (
     BudgetExceeded,
     SolveReport,
     _first_hit,
-    connected_zero_forcing_number,
     solve_report,
     zero_forcing_number,
 )
@@ -98,9 +97,9 @@ class _Solved:
     computed at most once per graph.
 
     The caller owns the table and drops it with the run; ``replay_claim``
-    starts from an empty one.  Z and Z_c come from a report when one
-    exists, and Z_c's search starts at Z when Z is known: every connected
-    zero forcing set forces, so Z <= Z_c.
+    starts from an empty one.  Z is found first and Z_c's search starts at
+    it, as in ``solve_report``: every connected zero forcing set forces, so
+    Z <= Z_c.
     """
 
     def __init__(self):
@@ -117,15 +116,10 @@ class _Solved:
         """Z (``key`` "z") or Z_c ("z_c") of g."""
         known = self._values.setdefault(g, {})
         if key not in known:
-            rep = self._reports.get(g)
-            if rep is not None and getattr(rep, key) is not None:
-                known[key] = getattr(rep, key)
-            elif key == "z":
+            if key == "z":
                 known[key] = zero_forcing_number(g)[0]
-            elif "z" in known:
-                known[key] = _first_hit(g, DEFAULT_BUDGET, True, known["z"])[0]
             else:
-                known[key] = connected_zero_forcing_number(g)[0]
+                known[key] = _first_hit(g, DEFAULT_BUDGET, True, self.value(g, "z"))[0]
         return known[key]
 
 
@@ -253,11 +247,9 @@ def _check(
     try:
         computed = _computed(solved or _Solved(), claim, graph_from_instance(instance))
     except BudgetExceeded as exc:
-        return ClaimResult(
-            claim, instance, relation, expected, {"closures": exc.closures},
-            "budget-exceeded", hard,
-        )
-    verdict = "holds" if evaluate(expected, computed) else "violated"
+        computed, verdict = {"closures": exc.closures, **exc.best_known}, "budget-exceeded"
+    else:
+        verdict = "holds" if evaluate(expected, computed) else "violated"
     return ClaimResult(claim, instance, relation, expected, computed, verdict, hard)
 
 

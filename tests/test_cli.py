@@ -1,3 +1,4 @@
+import io
 import json
 import shlex
 import subprocess
@@ -9,6 +10,7 @@ import pytest
 import zeroforcing.cli as cli
 import zeroforcing.solver as solver
 from zeroforcing.cli import main
+from zeroforcing.graphs import vertices_of
 
 
 def run_cli(capsys, *argv):
@@ -86,6 +88,57 @@ def test_enumerate_budget_bounds_the_drain(capsys):
     assert code == 3 and out == ""
     doc = json.loads(err)
     assert doc["error"] == "BudgetExceeded" and doc["closures"] == 400110
+
+
+@pytest.mark.parametrize(
+    "flags, key", [((), "z_lower_bound"), (("--connected",), "z_c_lower_bound")]
+)
+def test_enumerate_exceeded_budget_reports_the_level_reached(capsys, tmp_path, flags, key):
+    """An exhausted enumeration reports the meter's bound, as compute does,
+    and opens no --out file."""
+    target = tmp_path / "sets.txt"
+    argv = ["enumerate", "strong(cycle(6),cycle(6))", *flags, "--budget", "10"]
+    code, out, err = run_cli(capsys, *argv, "--out", str(target))
+    assert code == 3 and out == "" and not target.exists()
+    doc = json.loads(err)
+    assert doc.pop("message")
+    assert doc == {"error": "BudgetExceeded", "closures": 10, key: 8}
+
+
+@pytest.mark.parametrize("term", ["path(5)", "cycle(6)", "star(6)", "corona(cycle(4),path(2))"])
+def test_enumerate_streams_one_line_per_set(capsys, tmp_path, term):
+    """The streamed output is every set's line, in order, on stdout and
+    through --out."""
+    g = cli.parse_graph_dsl(term)
+    kinds = (((), solver.enumerate_min_zfs), (("--connected",), solver.enumerate_min_czfs))
+    for flags, sets in kinds:
+        lines = [",".join(map(str, vertices_of(m))) for m in sets(g)]
+        expected = "\n".join(lines) + "\n"
+        code, out, _ = run_cli(capsys, "enumerate", term, *flags)
+        assert code == 0 and out == expected
+        target = tmp_path / "sets.txt"
+        assert main(["enumerate", term, *flags, "--out", str(target)]) == 0
+        assert target.read_text() == expected
+
+
+def test_enumerate_writes_each_set_before_it_takes_the_next(capsys, monkeypatch):
+    writes, asked = [], []
+
+    class Out(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    def recorded(g, budget):
+        for m in solver.enumerate_min_zfs(g, budget=budget):
+            asked.append(len(writes))
+            yield m
+
+    monkeypatch.setattr(cli, "enumerate_min_zfs", recorded)
+    monkeypatch.setattr(sys, "stdout", Out())
+    assert main(["enumerate", "strong(cycle(4),path(2))"]) == 0
+    assert len(asked) > 1 and asked == list(range(len(asked)))
+    assert len(writes) == len(asked)
 
 
 def test_enumerate_runs_one_value_query(capsys, monkeypatch):

@@ -132,7 +132,6 @@ def count_solves(monkeypatch):
         monkeypatch.setattr(verify, name, wrapped)
 
     recorder("zero_forcing_number", lambda *a: "z")
-    recorder("connected_zero_forcing_number", lambda *a: "z_c")
     recorder("_first_hit", lambda budget, connected, start: "z_c" if connected else "z")
     recorder("solve_report", lambda *a: "report")
     return calls
@@ -167,23 +166,61 @@ def test_run_suites_keep_no_state_between_calls(monkeypatch):
     assert calls == solved_first
 
 
-def test_table_reads_values_off_a_report_and_starts_z_c_at_z(monkeypatch):
+def record_starts(monkeypatch):
+    """Record the start level of every search that verify runs through
+    ``_first_hit``, i.e. every Z_c search."""
+    import zeroforcing.verify as verify
+
+    first_hit, starts = verify._first_hit, []
+    monkeypatch.setattr(verify, "_first_hit", lambda *a: starts.append(a[3]) or first_hit(*a))
+    return starts
+
+
+def test_table_starts_z_c_at_a_known_z(monkeypatch):
     import zeroforcing.verify as verify
     from zeroforcing.families import corona, cycle, path
 
     g = corona(cycle(5), path(3))
-    first_hit = verify._first_hit
-    starts = []
-    monkeypatch.setattr(verify, "_first_hit", lambda *a: starts.append(a[3]) or first_hit(*a))
-    calls = count_solves(monkeypatch)
-    solved = verify._Solved()
-    rep = solved.report(g)
-    assert (solved.value(g, "z"), solved.value(g, "z_c"), solved.report(g)) == (7, 10, rep)
-    assert calls == [(g, "report")] and starts == []
-    # without a report, Z_c's search starts at the known Z
+    starts = record_starts(monkeypatch)
     solved = verify._Solved()
     assert (solved.value(g, "z"), solved.value(g, "z_c")) == (7, 10)
     assert starts == [7]
+
+
+def test_table_finds_z_before_z_c(monkeypatch):
+    """Asked for Z_c alone, the table finds Z (7) first and starts the Z_c
+    search there, as solve_report does."""
+    import zeroforcing.verify as verify
+    from zeroforcing.families import corona, cycle, path
+
+    g = corona(cycle(5), path(3))
+    starts = record_starts(monkeypatch)
+    calls = count_solves(monkeypatch)
+    solved = verify._Solved()
+    assert solved.value(g, "z_c") == 10
+    assert calls == [(g, "z"), (g, "z_c")] and starts == [7]
+    assert solved.value(g, "z") == 7 and len(calls) == 2
+
+
+def test_exceeded_row_carries_the_meters_bound(monkeypatch):
+    """A row whose search runs out records the closures and the lower bound
+    of the search's meter, as every solver entry point reports it."""
+    import zeroforcing.solver as solver
+    import zeroforcing.verify as verify
+
+    inst = "strong(cycle(6),path(4))"
+    g = graph_from_instance(inst)
+
+    monkeypatch.setattr(verify, "zero_forcing_number", lambda h: solver.zero_forcing_number(h, 10))
+    row = verify._check("product/strong-cycle-path", inst, {"bound": 12})
+    assert row.verdict == "budget-exceeded"
+    assert row.computed == {"closures": 10, "z_lower_bound": solver._zfs_lower_bound(g)}
+    # Z is found, then Z_c's search runs out on level Z, its first
+    monkeypatch.undo()
+    monkeypatch.setattr(verify, "_first_hit", lambda h, budget, *a: solver._first_hit(h, 10, *a))
+    row = verify._check("product/strong-cycle-path", inst, {"bound": 12})
+    assert row.verdict == "budget-exceeded"
+    assert row.computed == {"closures": 10, "z_c_lower_bound": 12}
 
 
 @pytest.mark.parametrize(
