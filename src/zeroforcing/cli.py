@@ -20,8 +20,9 @@ from functools import cache
 from pathlib import Path
 
 from .dsl import ParseError, parse_graph_dsl
-from .forcing import is_czfs, is_zfs, propagation_trace
+from .forcing import propagation_trace
 from .graphs import Graph, GraphError, ascii_int, parse_edge_list, vertices_of
+from .graphs import is_connected_in_components
 from .solver import (
     DEFAULT_BUDGET,
     BudgetExceeded,
@@ -37,6 +38,8 @@ EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
 # verify rows per encoder call: the JSON array is written block by block
 _BLOCK_ROWS = 256
+# largest --nmax: at n = 8 the exhaustive suite writes 1,350,720 finding rows
+_NMAX_LIMIT = 7
 
 
 class SettingError(ValueError):
@@ -109,16 +112,18 @@ def _load_graph(args) -> Graph:
     return parse_edge_list(text)
 
 
-def _at_least(name: str, value: int, low: int) -> int:
+def _in_range(name: str, value: int, low: int, high: int | None = None) -> int:
     if value < low:
         raise SettingError(f"{name} must be at least {low}, got {value}")
+    if high is not None and value > high:
+        raise SettingError(f"{name} must be at most {high}, got {value}")
     return value
 
 
 def _budget(args) -> int:
     """``--budget`` if given, else ``ZF_BUDGET``, else the default."""
     if args.budget is not None:
-        return _at_least("--budget", args.budget, 0)
+        return _in_range("--budget", args.budget, 0)
     env = os.environ.get("ZF_BUDGET")
     if not env:
         return DEFAULT_BUDGET
@@ -126,7 +131,7 @@ def _budget(args) -> int:
         value = ascii_int(env)
     except ValueError:
         raise SettingError(f"ZF_BUDGET must be an integer, got {env!r}") from None
-    return _at_least("ZF_BUDGET", value, 0)
+    return _in_range("ZF_BUDGET", value, 0)
 
 
 def _add_graph_input(sub):
@@ -163,7 +168,7 @@ def _cmd_compute(args) -> int:
     g = _load_graph(args)
     budget = _budget(args)
     # the solver runs in this process: --jobs is checked, then has no effect
-    _at_least("--jobs", args.jobs, 1)
+    _in_range("--jobs", args.jobs, 1)
     rep = solve_report(g, budget)
     if args.format == "table":
         _emit(_report_table(rep), args.out)
@@ -189,8 +194,8 @@ def _cmd_trace(args) -> int:
     else:
         doc = {"n": g.n}
         doc.update(trace.to_json_dict())
-        doc["is_zfs"] = is_zfs(g, mask)
-        doc["is_czfs"] = is_czfs(g, mask)
+        doc["is_zfs"] = trace.pt is not None
+        doc["is_czfs"] = doc["is_zfs"] and is_connected_in_components(g, mask)
         _emit(_json_text(doc), args.out)
     return EXIT_OK
 
@@ -205,7 +210,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    results = run_suites(suite=args.suite, nmax=_at_least("--nmax", args.nmax, 1))
+    results = run_suites(suite=args.suite, nmax=_in_range("--nmax", args.nmax, 1, _NMAX_LIMIT))
     if args.format == "csv":
         _emit(csv_summary(results), args.out)
     else:

@@ -158,8 +158,7 @@ def is_zfs(g: Graph, black: int) -> bool:
 def is_czfs(g: Graph, black: int) -> bool:
     """True iff ``black`` is a zero forcing set that is connected in components."""
     _check_mask(g, black)
-    if not black:
-        return False
+    # is_zfs(g, 0) is False, so the empty set never reaches the second test
     return is_zfs(g, black) and is_connected_in_components(g, black)
 
 
@@ -209,10 +208,10 @@ def propagation_trace(g: Graph, black: int) -> ForcingTrace:
         forces = _round_forces(adj, black)
         if not forces:
             break
+        # forcer-ascending, so the first forcer of v is the smallest
         chosen: dict[int, int] = {}
         for u, v in forces:
-            if v not in chosen or u < chosen[v]:
-                chosen[v] = u
+            chosen.setdefault(v, u)
         rnd = tuple((chosen[v], v) for v in sorted(chosen))
         rounds.append(rnd)
         for _, v in rnd:

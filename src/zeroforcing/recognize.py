@@ -9,9 +9,10 @@ additionally requires specific chords on the first cycle: both end vertices
 of the u-run joined to v_2 when k = 1, the v_1-side end joined to v_2 when
 k > 1 (vacuous when the first cycle is a triangle).
 
-Recognition is a lookup: every shape spec of the graph's order and edge
-count is built once into a catalog keyed by degree sequence, then by
-isomorphism certificate.
+Recognition is one catalog lookup for every graph, connected or not: every
+shape spec of the graph's order and edge count, and the disconnected case,
+is built once into a catalog keyed by degree sequence, then by isomorphism
+certificate.
 """
 
 from __future__ import annotations
@@ -22,14 +23,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .families import PCSpec, pc_graph
-from .graphs import (
-    Graph,
-    TooLarge,
-    certificate,
-    components,
-    induced_subgraph,
-    is_path_graph,
-)
+from .graphs import Graph, TooLarge, certificate, new_graph
 
 RECOGNIZER_LIMIT = 16
 
@@ -49,6 +43,11 @@ class ExtremalForm:
     @property
     def accepted(self) -> bool:
         return self.kind is not FormKind.NOT_EXTREMAL
+
+
+_NOT_EXTREMAL = ExtremalForm(FormKind.NOT_EXTREMAL)
+# the entry of a graph outside the catalog
+_ABSENT = (_NOT_EXTREMAL, True)
 
 
 def _compositions(total: int, parts: int):
@@ -75,29 +74,20 @@ def _chorded_specs(cycles: tuple[int, ...], chord_count: int, tail):
 
 def _shape_specs(n: int, m: int):
     """Path-cycle specs with order n and edge count m, any last cycle,
-    optionally tailed at v_{k+1}.
+    tail-less first, then tailed at v_{k+1} by tail length.
 
-    A chordless path-cycle graph on cycles (n_1..n_k) has 2k+1+sum(n_i)
-    edges; each chord adds one and a tail of length t adds t-1.
+    A chordless path-cycle graph on k cycles has n+k-1 edges, whatever its
+    cycle lengths and tail; each chord adds one.
     """
     for k in range(1, n - 1):
-        budget = n - (k + 2)
-        if budget < 0:
+        chord_count = m - (n + k - 1)
+        if chord_count < 0:
             break
-        # tail-less shapes
-        for cycles in _compositions(budget, k):
-            chord_count = m - (2 * k + 1 + sum(cycles))
-            if chord_count < 0:
-                continue
-            yield from _chorded_specs(cycles, chord_count, None)
-        # tailed shapes: pendant path of length tail_m at v_{k+1}
-        for tail_m in range(2, budget + 2):
-            rest = budget - (tail_m - 1)
-            for cycles in _compositions(rest, k):
-                chord_count = m - (2 * k + 1 + rest) - (tail_m - 1)
-                if chord_count < 0:
-                    continue
-                yield from _chorded_specs(cycles, chord_count, (k + 1, tail_m))
+        # a tail of length extra + 1 takes extra vertices off the cycles
+        for extra in range(n - k - 1):
+            tail = (k + 1, extra + 1) if extra else None
+            for cycles in _compositions(n - (k + 2) - extra, k):
+                yield from _chorded_specs(cycles, chord_count, tail)
 
 
 def _meets_min_chord_conditions(spec: PCSpec) -> bool:
@@ -112,53 +102,40 @@ def _meets_min_chord_conditions(spec: PCSpec) -> bool:
 
 @lru_cache(maxsize=None)
 def _catalog(n: int, m: int) -> dict:
-    """degree sequence -> certificate -> (max-shape spec or None, whether
-    some representation fails the minimum-time chord conditions), over
-    ``_shape_specs(n, m)``.  The max shapes are the specs with a tail or a
-    triangle last; the spec kept is the first one in spec order."""
+    """degree sequence -> certificate -> (ExtremalForm, whether some
+    representation fails the minimum-time conditions), over
+    ``_shape_specs(n, m)`` and, when m = n-2, the disconnected case.  The
+    max shapes are the specs with a tail or a triangle last; the form keeps
+    the first one in spec order.  The minimum-time conditions speak of
+    connected graphs, so the disconnected case fails them."""
     catalog = {}
     for spec in _shape_specs(n, m):
         g = pc_graph(spec)
         shapes = catalog.setdefault(g.degree_sequence(), {})
         cert = certificate(g)
-        first, fails = shapes.get(cert, (None, False))
-        if first is None and (spec.tail is not None or spec.cycles[-1] == 0):
-            first = spec
-        shapes[cert] = (first, fails or not _meets_min_chord_conditions(spec))
+        form, fails = shapes.get(cert, (_NOT_EXTREMAL, False))
+        if not form.accepted and (spec.tail is not None or spec.cycles[-1] == 0):
+            kind = FormKind.PC_FORM if spec.tail is None else FormKind.PC_PLUS_TAIL
+            form = ExtremalForm(kind, spec)
+        shapes[cert] = (form, fails or not _meets_min_chord_conditions(spec))
+    if m == n - 2:
+        g = new_graph(n, [(v, v + 1) for v in range(n - 2)])
+        shapes = catalog.setdefault(g.degree_sequence(), {})
+        shapes[certificate(g)] = (ExtremalForm(FormKind.DISCONNECTED_CASE), True)
     return catalog
 
 
-def _lookup(g: Graph) -> tuple:
-    """Catalog entry of a connected graph, ``(None, False)`` if none."""
+def _lookup(g: Graph) -> tuple[ExtremalForm, bool]:
+    """Catalog entry of ``g``, ``(NOT_EXTREMAL form, True)`` if none."""
+    if g.n > RECOGNIZER_LIMIT:
+        raise TooLarge(f"recognition limited to {RECOGNIZER_LIMIT} vertices")
     shapes = _catalog(g.n, g.edge_count()).get(g.degree_sequence())
-    return shapes.get(certificate(g), (None, False)) if shapes else (None, False)
-
-
-def _is_isolated_plus_path(g: Graph) -> bool:
-    comps = components(g)
-    if len(comps) != 2:
-        return False
-    sizes = sorted(c.bit_count() for c in comps)
-    if sizes[0] != 1:
-        return False
-    big = max(comps, key=lambda c: c.bit_count())
-    sub, _ = induced_subgraph(g, big)
-    return is_path_graph(sub)
+    return shapes.get(certificate(g), _ABSENT) if shapes else _ABSENT
 
 
 def recognize_extremal_form(g: Graph) -> ExtremalForm:
     """Classify ``g`` against the maximum-connected-propagation-time shapes."""
-    if g.n > RECOGNIZER_LIMIT:
-        raise TooLarge(f"recognition limited to {RECOGNIZER_LIMIT} vertices")
-    if len(components(g)) > 1:
-        if _is_isolated_plus_path(g):
-            return ExtremalForm(FormKind.DISCONNECTED_CASE)
-        return ExtremalForm(FormKind.NOT_EXTREMAL)
-    spec = _lookup(g)[0]
-    if spec is None:
-        return ExtremalForm(FormKind.NOT_EXTREMAL)
-    kind = FormKind.PC_PLUS_TAIL if spec.tail is not None else FormKind.PC_FORM
-    return ExtremalForm(kind, spec)
+    return _lookup(g)[0]
 
 
 def min_extremal_spec(g: Graph) -> PCSpec | None:
@@ -169,9 +146,5 @@ def min_extremal_spec(g: Graph) -> PCSpec | None:
     them: both end vertices of the first u-run joined to v_2 when written
     with one cycle, the v_1-side end joined to v_2 when written with more.
     """
-    if g.n > RECOGNIZER_LIMIT:
-        raise TooLarge(f"recognition limited to {RECOGNIZER_LIMIT} vertices")
-    if len(components(g)) > 1:
-        return None
-    spec, fails = _lookup(g)
-    return None if fails else spec
+    form, fails = _lookup(g)
+    return None if fails else form.spec

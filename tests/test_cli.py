@@ -293,8 +293,8 @@ def test_jobs_below_one_is_an_input_error(capsys):
         assert doc["error"] == "SettingError" and "--jobs" in doc["message"]
 
 
-def test_nmax_below_one_is_an_input_error(capsys):
-    for nmax in ("-1", "0"):
+def test_nmax_outside_one_to_seven_is_an_input_error(capsys):
+    for nmax in ("-1", "0", "8", "100"):
         code, out, err = run_cli(capsys, "verify", "--suite", "exhaustive", "--nmax", nmax)
         assert code == 2 and out == ""
         doc = json.loads(err)

@@ -1,12 +1,23 @@
+import random
+
 import pytest
 
 from zeroforcing.families import PCSpec, complete, cycle, path, pc_graph, vertex_sum
-from zeroforcing.graphs import TooLarge, are_isomorphic, new_graph
+from zeroforcing.graphs import (
+    TooLarge,
+    are_isomorphic,
+    components,
+    induced_subgraph,
+    is_path_graph,
+    new_graph,
+    relabel,
+)
 from zeroforcing.recognize import (
     FormKind,
     min_extremal_spec,
     recognize_extremal_form,
 )
+from zeroforcing.verify import graph_classes
 
 
 def form(g):
@@ -104,3 +115,31 @@ def test_min_conditions_hold_over_every_representation():
 def test_min_spec_of_chorded_pc3_uses_triangle_form():
     spec = min_extremal_spec(pc_graph(PCSpec((3,), ((1, 3),))))
     assert spec == PCSpec((2, 0), ((2,), ()))
+
+
+def isolated_plus_path(g):
+    """The disconnected case by its definition: two components, one a
+    single vertex and the other a path."""
+    comps = components(g)
+    if len(comps) != 2 or min(c.bit_count() for c in comps) != 1:
+        return False
+    return is_path_graph(induced_subgraph(g, max(comps, key=int.bit_count))[0])
+
+
+def test_every_class_to_order_7_and_a_relabeling():
+    rng = random.Random(7)
+    for n in range(1, 8):
+        for g in graph_classes(n):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            seen = []
+            for h in (g, relabel(g, perm)):
+                res, min_spec = form(h), min_extremal_spec(h)
+                assert (res.kind is FormKind.DISCONNECTED_CASE) == isolated_plus_path(h), h
+                if len(components(h)) > 1:
+                    assert min_spec is None, h
+                for spec in (res.spec, min_spec):
+                    if spec is not None:
+                        assert are_isomorphic(pc_graph(spec), h), (h, spec)
+                seen.append((res.kind, res.spec, min_spec))
+            assert seen[0] == seen[1], g
