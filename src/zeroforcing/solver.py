@@ -5,7 +5,10 @@ tested in lexicographic order of their sorted vertex tuples, which makes
 every witness and count reproducible.  One level stream serves both kinds
 of set: the k-sets of a level are closed in runs of up to ``_LEVEL_WIDTH``
 sets per call of the bit-sliced kernel, which also yields every set's
-propagation time.  For connected sets the stream first keeps, per run,
+propagation time.  A run's columns are a row of ``_pascal_row``, which
+depends only on the size of the range the run's subsets come from; the
+row cache keeps the rows of at most a quarter run, and wider rows are
+built from them.  For connected sets the stream first keeps, per run,
 the sets that the bit-sliced connectivity kernel finds connected in
 components, and closes only those.  A run of at most ``_SCALAR_LEVEL``
 sets, such as every level of a graph on at most 6 vertices, is evaluated
@@ -20,7 +23,9 @@ Work is metered in candidate evaluations (one closure per candidate, one
 per propagation-time measurement), at most ``budget`` of them per call.
 Charging follows the deterministic stream order, and a connected stream
 charges only its connected sets, and the meter keeps the lower bound that
-an exhausted budget reports.  Every search runs in the calling process.
+an exhausted budget reports.  A run is closed before its sets are charged,
+so a search stops within one run of the charge that exhausts its budget.
+Every search runs in the calling process.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .graphs import Graph, components, connected_columns, vertices_of
 
 DEFAULT_BUDGET = 10**8
 # sets per bit-sliced kernel call in the level stream
-_LEVEL_WIDTH = 16384
+_LEVEL_WIDTH = 65536
 # runs this small skip the kernel and evaluate set by set
 _SCALAR_LEVEL = 20
 
@@ -107,23 +112,33 @@ def _level_runs(n: int, k: int, width: int):
     return walk(0, 0, k)
 
 
-@lru_cache(maxsize=1024)
-def _pascal_row(n: int, r: int, s: int, width: int) -> tuple[int, ...]:
-    """Bit-sliced first ``width`` r-subsets of range(s, n), lexicographic.
+def _pascal_row(m: int, r: int, width: int) -> tuple[int, ...]:
+    """Bit-sliced first ``width`` r-subsets of range(m), lexicographic.
 
-    Entry v - s has bit j set when vertex v lies in the j-th subset.  The
-    subsets that take s come first, then those that skip it.
+    Entry v has bit j set when vertex v lies in the j-th subset.  The
+    subsets that take 0 come first, then those that skip it.  The r-subsets
+    of range(s, n) are those of range(n - s) shifted by s, so one row serves
+    every order n.  Rows of at most a quarter run are cached; a wider row is
+    rebuilt from them each time, so the cache holds no full-width row.
     """
     if r == 0:
-        return (0,) * (n - s)
-    taking = comb(n - s - 1, r - 1)
-    head = _pascal_row(n, r - 1, s + 1, width)
+        return (0,) * m
+    taking = comb(m - 1, r - 1)
+    head = _row(m - 1, r - 1, width)
     first = (1 << min(taking, width)) - 1
-    if taking >= width or n - s - 1 < r:
+    if taking >= width or m - 1 < r:
         return (first,) + head
     keep = (1 << width) - 1
-    tail = _pascal_row(n, r, s + 1, width)
+    tail = _row(m - 1, r, width)
     return (first,) + tuple((h | t << taking) & keep for h, t in zip(head, tail))
+
+
+_cached_row = lru_cache(maxsize=1024)(_pascal_row)
+
+
+def _row(m: int, r: int, width: int) -> tuple[int, ...]:
+    """``_pascal_row``, from the cache when at most a quarter run wide."""
+    return (_cached_row if 4 * comb(m, r) <= width else _pascal_row)(m, r, width)
 
 
 @lru_cache(maxsize=8)
@@ -174,7 +189,7 @@ def _level_columns(g: Graph, k: int, connected: bool):
     for run in _level_runs(n, k, _LEVEL_WIDTH):
         prefix, s, r, count = run
         ones = (1 << count) - 1
-        cols = [0] * s + list(_pascal_row(n, r, s, _LEVEL_WIDTH))
+        cols = [0] * s + list(_row(n - s, r, _LEVEL_WIDTH))
         for v in vertices_of(prefix):
             cols[v] = ones
         if connected:

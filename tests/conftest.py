@@ -31,8 +31,11 @@ def graphs_with_sets(draw, min_n=1, max_n=8):
 # (run width, scalar-run cutoff) of the level stream: narrow runs split a
 # level into many runs; cutoff 0 sends every run through the bit-sliced
 # kernels, and cutoff 7 at width 7 sends every run, prefixed ones included,
-# through the set-by-set path
-SETTINGS = [(3, 0), (7, 0), (7, 7), (64, 20), (solver._LEVEL_WIDTH, solver._SCALAR_LEVEL)]
+# through the set-by-set path; 16,384, the width before 65,536, is the
+# narrow side of the wide-run differential tests in test_level_stream.py
+SETTINGS = [
+    (3, 0), (7, 0), (7, 7), (64, 20), (16384, 20), (solver._LEVEL_WIDTH, solver._SCALAR_LEVEL),
+]
 
 
 @pytest.fixture(params=SETTINGS, ids=lambda p: f"width{p[0]}-scalar{p[1]}")

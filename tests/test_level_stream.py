@@ -8,6 +8,7 @@ run width and with or without the small-run scalar path.
 
 import random
 import time
+from functools import lru_cache
 from itertools import combinations
 from math import comb
 
@@ -91,12 +92,41 @@ def test_runs_tile_the_level():
 
 
 def test_pascal_row_matches_unrank():
-    for n, r, s, width in [(9, 3, 2, 100), (9, 3, 2, 11), (12, 5, 0, 64), (6, 0, 1, 8)]:
-        row = solver._pascal_row(n, r, s, width)
-        subsets = list(combinations(range(s, n), r))[:width]
-        for v in range(s, n):
-            want = sum(1 << j for j, c in enumerate(subsets) if v in c)
-            assert row[v - s] == want
+    """A row is keyed by the size m of the range, not by where it starts:
+    the r-subsets of range(s, s + m) are those of range(m) shifted by s.
+    Widths 11 and 40 mix cached rows with rows rebuilt from them."""
+    for m, r, width in [(7, 3, 100), (7, 3, 11), (12, 5, 64), (5, 0, 8), (10, 4, 40)]:
+        row = solver._row(m, r, width)
+        assert row == solver._pascal_row(m, r, width)
+        for s in (0, 1, 3):
+            subsets = list(combinations(range(s, s + m), r))[:width]
+            for v in range(s, s + m):
+                want = sum(1 << j for j, c in enumerate(subsets) if v in c)
+                assert row[v - s] == want
+
+
+def test_row_cache_keeps_quarter_runs_for_every_order(monkeypatch):
+    """The row cache keeps only rows of at most a quarter run, builds each
+    once, and serves graphs of every order: a level of order 21 builds no
+    row that the same level of order 20 has built."""
+    built = []
+
+    def build(m, r, width):
+        built.append((m, r, width))
+        return solver._pascal_row(m, r, width)
+
+    monkeypatch.setattr(solver, "_cached_row", lru_cache(maxsize=1024)(build))
+    width = solver._LEVEL_WIDTH
+    for n in (20, 21):
+        runs = list(solver._level_columns(new_graph(n, []), 9, connected=False))
+        assert len(runs) > 2
+    assert built and len(set(built)) == len(built)
+    assert all(4 * comb(m, r) <= width for m, r, _ in built)
+    cached = [solver._cached_row(*key) for key in built]
+    assert max(c.bit_length() for row in cached for c in row) <= width // 4
+    again = len(built)
+    list(solver._level_columns(new_graph(21, []), 9, connected=False))
+    assert len(built) == again
 
 
 def test_level_stream_matches_scalar_reference(stream_setting):
@@ -230,3 +260,123 @@ def test_tiny_budget_on_a_huge_level_returns_fast():
     assert info.value.closures == 10
     assert info.value.best_known["z_lower_bound"] == 8
     assert time.perf_counter() - start < 10
+
+
+def gnp(seed, n, p):
+    """G(n, p): one ``random.Random(seed).random() < p`` coin per pair u < v."""
+    rnd = random.Random(seed)
+    return new_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rnd.random() < p])
+
+
+def run_ends(g, rep, width):
+    """The charge totals at which solve_report's runs end, at ``width``:
+    the Z phase's runs, then its pt charges, then the connected runs from
+    level Z on."""
+    ends, total = [], 0
+    stages = [(k, False) for k in range(solver._zfs_lower_bound(g), rep.z + 1)]
+    stages += [(k, True) for k in range(rep.z, rep.z_c + 1)]
+    for k, connected in stages:
+        if connected and k == rep.z:
+            total += rep.min_zfs_count
+        for _, _, ones in solver._level_columns(g, k, connected):
+            total += ones.bit_count()
+            ends.append(total)
+    return ends
+
+
+WIDE_GRAPHS = {
+    "strong(cycle(5),path(4))": parse_graph_dsl("strong(cycle(5),path(4))"),
+    "corona(cycle(5),path(3))": parse_graph_dsl("corona(cycle(5),path(3))"),
+    "G(20, 0.25; 4)": gnp(4, 20, 0.25),
+}
+
+
+@pytest.mark.parametrize("name", WIDE_GRAPHS)
+def test_wide_runs_match_narrow_runs(name, monkeypatch):
+    """solve_report gives the same report at width 16,384 and at the shipped
+    width on levels that span several runs of both, also when the budget
+    stops it at a run end of either width or one charge before one.
+    Z_c > Z on the corona, so its connected phase reuses the bitmaps of
+    level Z across wide runs."""
+    g = WIDE_GRAPHS[name]
+    shipped, narrow = solver._LEVEL_WIDTH, 16384
+    full = {}
+    for width in (shipped, narrow):
+        monkeypatch.setattr(solver, "_LEVEL_WIDTH", width)
+        full[width] = solve_report(g)
+    rep = full[shipped]
+    assert rep.to_json_dict() == full[narrow].to_json_dict()
+    assert len(list(solver._level_runs(g.n, rep.z, shipped))) > 1
+    # a seeded sample of the run ends of both widths and the charges just
+    # before them
+    ends = set()
+    for width in (shipped, narrow):
+        monkeypatch.setattr(solver, "_LEVEL_WIDTH", width)
+        ends.update(b - d for b in run_ends(g, rep, width) for d in (0, 1))
+    limits = sorted(random.Random(name).sample(sorted(ends), 12))
+    bounded = {}
+    for width in (shipped, narrow):
+        monkeypatch.setattr(solver, "_LEVEL_WIDTH", width)
+        bounded[width] = [solve_report(g, limit).to_json_dict() for limit in limits]
+    assert bounded[shipped] == bounded[narrow]
+
+
+def kernel_log(monkeypatch):
+    """Log every ``_batch_rounds`` call ("close", sets) and every charge
+    ("charge", count), in the order they happen."""
+    log = []
+    batch_rounds, charge = solver._batch_rounds, solver._Meter.charge
+
+    def close(nbrs, cols, ones):
+        log.append(("close", ones.bit_count()))
+        return batch_rounds(nbrs, cols, ones)
+
+    def charged(meter, count):
+        log.append(("charge", count))
+        charge(meter, count)
+
+    monkeypatch.setattr(solver, "_batch_rounds", close)
+    monkeypatch.setattr(solver._Meter, "charge", charged)
+    return log
+
+
+def check_stops_within_one_run(g, log, samples):
+    """Under a sweep of budgets, solve_report makes the ``_batch_rounds``
+    calls of the unbounded search up to the charge that exhausts the budget
+    and none after it; each call's run is charged before the next call."""
+    log.clear()
+    solve_report(g)
+    full = log[:]
+    assert all(full[i + 1][0] == "charge" for i, (kind, _) in enumerate(full) if kind == "close")
+    # budgets equal to the charge total at each kernel call, and one more
+    spent, starts = 0, set()
+    for kind, count in full:
+        if kind == "charge":
+            spent += count
+        else:
+            starts.update((spent, spent + 1))
+    for limit in sorted(random.Random(g.n).sample(sorted(starts), min(samples, len(starts)))):
+        log.clear()
+        solve_report(g, limit)
+        spent = end = 0
+        while spent <= limit:
+            kind, count = full[end]
+            spent += count if kind == "charge" else 0
+            end += 1
+        assert log == full[:end]
+
+
+def test_budget_stops_within_one_run(stream_setting, monkeypatch):
+    """Runs close their sets before those are charged, so a search may
+    close uncharged sets past its budget, but at most one run of them."""
+    log = kernel_log(monkeypatch)
+    rnd = random.Random(31)
+    for _ in range(3):
+        check_stops_within_one_run(random_graph(rnd, rnd.randint(9, 11)), log, 10)
+
+
+def test_budget_stops_within_one_wide_run(monkeypatch):
+    """The same at the shipped width, on levels of several runs."""
+    g = WIDE_GRAPHS["G(20, 0.25; 4)"]
+    assert len(list(solver._level_runs(g.n, 9, solver._LEVEL_WIDTH))) > 2
+    check_stops_within_one_run(g, kernel_log(monkeypatch), 12)
