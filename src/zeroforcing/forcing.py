@@ -117,36 +117,10 @@ def _batch_rounds(nbrs, cols: list[int], ones: int) -> list[int]:
     return done
 
 
-def forces_one_round(g: Graph, black: int) -> list[tuple[int, int]]:
-    """All (forcer, forced) pairs available in one simultaneous round.
-
-    Computed against the input coloring; multiple forcers of the same
-    vertex are all reported.  Pairs come in increasing forcer order.
-    """
-    _check_mask(g, black)
-    return _round_forces(g.adj, black)
-
-
 def derived_coloring(g: Graph, black: int) -> int:
     """The unique fixpoint der(B) reached from the mask ``black``."""
     _check_mask(g, black)
     return _rounds(g.adj, g.full_mask, black)[0]
-
-
-def derived_coloring_sequential(g: Graph, black: int, rng) -> int:
-    """Fixpoint reached by applying one rng-chosen force at a time.
-
-    Equals ``derived_coloring`` for every order; exists to demonstrate
-    order-independence of the closure.
-    """
-    _check_mask(g, black)
-    adj = g.adj
-    while True:
-        avail = _round_forces(adj, black)
-        if not avail:
-            return black
-        _, v = avail[rng.randrange(len(avail))]
-        black |= 1 << v
 
 
 def is_zfs(g: Graph, black: int) -> bool:

@@ -70,7 +70,12 @@ def iter_vertices(mask: int):
 
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Sorted tuple of vertex ids in a bitset mask."""
-    return tuple(iter_vertices(mask))
+    out = []
+    while mask:
+        b = mask & -mask
+        out.append(b.bit_length() - 1)
+        mask ^= b
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -216,23 +221,26 @@ def connected_columns(nbrs, comps, cols: list[int], ones: int) -> int:
             reach[v] = cols[v] & ~seen
             seen |= cols[v]
     # grow every seed's reach inside its set, in place, until a sweep adds
-    # nothing; a sweep may carry reach several steps along ascending ids
-    moved = True
-    while moved:
-        moved = False
+    # nothing or leaves no member unreached; a sweep may carry reach several
+    # steps along ascending ids
+    while True:
+        moved = stray = 0
         for v in range(n):
             left = cols[v] & ~reach[v]
             if left:
                 near = 0
                 for u in nbrs[v]:
                     near |= reach[u]
-                if near & left:
-                    reach[v] |= near & left
-                    moved = True
-    stray = 0
-    for c, r in zip(cols, reach):
-        stray |= c & ~r
-    return ones & ~stray
+                grow = near & left
+                if grow:
+                    reach[v] |= grow
+                    moved = 1
+                    left ^= grow
+                # the sets with a member still unreached; once a sweep moves
+                # nothing, exactly the sets that are not connected
+                stray |= left
+        if not (moved and stray):
+            return ones ^ stray
 
 
 def induced_subgraph(g: Graph, s: int) -> tuple[Graph, list[int]]:

@@ -15,9 +15,13 @@ sets, such as every level of a graph on at most 6 vertices, is evaluated
 set by set with ``forcing._rounds`` from its cached masks instead, since a
 kernel call costs more than those few sets.  ``_min_level`` is the
 one level search: value queries stop at its first hit, drains read the
-whole level.  ``solve_report`` closes level Z once: since Z <= Z_c, its
-connected phase starts there and masks the Z phase's round bitmaps with
-each run's connectivity mask instead of closing again.
+whole level.  ``_run_phases`` is the one phase loop, run from a given
+start level: ``solve_report`` runs the Z phase and then the connected
+one, ``propagation_extrema`` the phases up to the one asked for, and a
+caller that knows a lower bound on Z_c the connected phase alone.
+``solve_report`` closes level Z once: since Z <= Z_c, its connected phase
+starts there and masks the Z phase's round bitmaps with each run's
+connectivity mask instead of closing again.
 
 Work is metered in candidate evaluations (one closure per candidate, one
 per propagation-time measurement), at most ``budget`` of them per call.
@@ -323,7 +327,8 @@ def propagation_extrema(
     Runs and charges the phases of ``solve_report`` up to the one asked for.
     """
     fields, witnesses = {}, {}
-    _run_phases(g, _Meter(budget), _PHASES[: 1 + connected], fields, witnesses)
+    phases = (False, True)[: 1 + connected]
+    _run_phases(g, _Meter(budget), _zfs_lower_bound(g), phases, fields, witnesses)
     *_, (lo, hi), (_, wlo, whi) = _PHASES[connected]
     return (fields[lo], witnesses[wlo]), (fields[hi], witnesses[whi])
 
@@ -449,14 +454,17 @@ _PHASES = (
 )
 
 
-def _run_phases(g: Graph, meter: _Meter, phases, fields: dict, witnesses: dict):
-    """Run ``phases`` of ``_PHASES`` in order, each from the level where the
-    last one stopped, filling ``fields`` and ``witnesses`` as each value
-    becomes known."""
-    k, closed = _zfs_lower_bound(g), None
-    for connected, (name, _, value, count_key, (lo, hi), (wk, wlo, whi)) in enumerate(phases):
-        # Z <= Z_c: the connected phase starts on the level that the Z phase
-        # has just closed, and reuses its bitmaps
+def _run_phases(g: Graph, meter: _Meter, start: int, phases, fields: dict, witnesses: dict):
+    """Run one phase per ``connected`` flag in ``phases`` (see ``_PHASES``),
+    in order, filling ``fields`` and ``witnesses`` as each value becomes
+    known.  The first phase starts at level ``start``, which must be at
+    most its value; each later one starts on the level where the last one
+    stopped, so a connected phase may follow the Z phase, since Z <= Z_c."""
+    k, closed = start, None
+    for connected in phases:
+        name, _, value, count_key, (lo, hi), (wk, wlo, whi) = _PHASES[connected]
+        # the connected phase starts on the level that the Z phase has just
+        # closed, and reuses its bitmaps
         found = list(_min_level(g, meter, k, connected, closed))
         k = found[0][0]
         closed = {run: done for _, run, done in found}
@@ -480,7 +488,7 @@ def solve_report(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveReport:
     witnesses = dict.fromkeys(("z", "z_c", "pt", "PT", "pt_c", "PT_c"))
     exceeded, lower_bounds = False, {}
     try:
-        _run_phases(g, meter, _PHASES, fields, witnesses)
+        _run_phases(g, meter, _zfs_lower_bound(g), (False, True), fields, witnesses)
     except BudgetExceeded as exc:
         exceeded, lower_bounds = True, exc.best_known
     return SolveReport(

@@ -10,7 +10,10 @@ one-vertex augmentation and deduped by certificate (``graph_classes``);
 the findings are the relabelings of each violating class, and each such
 labeled graph is checked as a standalone instance.  A suite call solves
 each distinct graph at most once: a per-run table (``_Solved``) holds the
-Z, Z_c and solve reports that every claim row and expected value reads.
+values that every claim row and expected value reads, by name (Z, Z_c,
+pt_c, PT_c).  A class representative's claims read one solve report, a
+finding graph's rows one connected drain of its own (they read pt_c or
+PT_c only), and the named and product rows Z and Z_c first hits.
 
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
@@ -24,7 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations, permutations
 
 from . import families
@@ -34,8 +37,10 @@ from .recognize import min_extremal_spec, recognize_extremal_form
 from .solver import (
     DEFAULT_BUDGET,
     BudgetExceeded,
-    SolveReport,
     _first_hit,
+    _Meter,
+    _run_phases,
+    _zfs_lower_bound,
     solve_report,
     zero_forcing_number,
 )
@@ -93,64 +98,85 @@ def graph_to_instance(g: Graph) -> str:
 
 
 class _Solved:
-    """Z, Z_c and solve reports of the graphs one suite call checks, each
-    computed at most once per graph.
+    """The values that claim rows read, by name: Z ("z"), Z_c ("z_c"), pt_c
+    ("pt_c") and PT_c ("PT_c"), of the graphs one suite call checks, with
+    each graph's descriptors parsed once.  Each kind of row fills the table
+    from its own search, at most once per graph and value:
 
-    The caller owns the table and drops it with the run; ``replay_claim``
-    starts from an empty one.  Z is found first and Z_c's search starts at
-    it, as in ``solve_report``: every connected zero forcing set forces, so
-    Z <= Z_c.
+    - ``solve`` fills all four values of an exhaustive class representative
+      from one ``solve_report``;
+    - Z is a first hit, and Z_c a first hit from Z: every connected zero
+      forcing set forces, so Z <= Z_c;
+    - pt_c or PT_c, asked for first, come with Z_c from one connected
+      drain, started at the best lower bound held: Z_c, else Z, else the
+      min-degree bound.
+
+    The table stores no unknown value: a search that runs out raises
+    ``BudgetExceeded``.  The caller owns the table and drops it with the
+    run; ``replay_claim`` starts from an empty one.
     """
 
     def __init__(self):
         self._values: dict[Graph, dict[str, int]] = {}
-        self._reports: dict[Graph, SolveReport] = {}
+        self._graphs: dict[str, Graph] = {}
 
-    def report(self, g: Graph) -> SolveReport:
-        rep = self._reports.get(g)
-        if rep is None:
-            rep = self._reports[g] = solve_report(g)
-        return rep
+    def graph(self, instance: str) -> Graph:
+        g = self._graphs.get(instance)
+        if g is None:
+            g = self._graphs[instance] = graph_from_instance(instance)
+        return g
+
+    def solve(self, g: Graph):
+        """Fill all four values of g from one ``solve_report``; raise its
+        closures and lower bounds as ``BudgetExceeded`` if it ran out."""
+        rep = solve_report(g, DEFAULT_BUDGET)
+        if rep.budget_exceeded:
+            message = f"budget of {DEFAULT_BUDGET} closure evaluations exhausted"
+            raise BudgetExceeded(message, rep.closures, rep.lower_bounds)
+        self._values[g] = {"z": rep.z, "z_c": rep.z_c, "pt_c": rep.ptc_min, "PT_c": rep.ptc_max}
 
     def value(self, g: Graph, key: str) -> int:
-        """Z (``key`` "z") or Z_c ("z_c") of g."""
+        """The value named ``key`` of g, searched for on first use."""
         known = self._values.setdefault(g, {})
         if key not in known:
             if key == "z":
-                known[key] = zero_forcing_number(g)[0]
-            else:
+                known[key] = zero_forcing_number(g, DEFAULT_BUDGET)[0]
+            elif key == "z_c":
                 known[key] = _first_hit(g, DEFAULT_BUDGET, True, self.value(g, "z"))[0]
+            else:
+                start = known.get("z_c") or known.get("z") or _zfs_lower_bound(g)
+                fields = {}
+                _run_phases(g, _Meter(DEFAULT_BUDGET), start, (True,), fields, {})
+                known.update(z_c=fields["z_c"], pt_c=fields["ptc_min"], PT_c=fields["ptc_max"])
         return known[key]
 
 
-def _order_pair(g: Graph, rep) -> dict:
-    return {"z": rep.z, "z_c": rep.z_c}
-
-
-def _path_equivalence(g: Graph, rep) -> dict:
+def _path_equivalence(g: Graph, value) -> dict:
+    # pt_c first: its drain brings Z_c along
+    pt_c = value("pt_c")
     return {
         "n": g.n,
-        "z_c": rep.z_c,
-        "pt_c": rep.ptc_min,
-        "PT_c": rep.ptc_max,
+        "z_c": value("z_c"),
+        "pt_c": pt_c,
+        "PT_c": value("PT_c"),
         "is_path": is_path_graph(g),
     }
 
 
-def _max_shape(g: Graph, rep) -> dict:
+def _max_shape(g: Graph, value) -> dict:
     form = recognize_extremal_form(g)
     return {
         "n": g.n,
-        "PT_c": rep.ptc_max,
+        "PT_c": value("PT_c"),
         "accepted": form.accepted,
         "form": form.kind.value,
     }
 
 
-def _min_shape(g: Graph, rep) -> dict:
+def _min_shape(g: Graph, value) -> dict:
     return {
         "n": g.n,
-        "pt_c": rep.ptc_min,
+        "pt_c": value("pt_c"),
         "accepted": min_extremal_spec(g) is not None,
     }
 
@@ -204,8 +230,8 @@ def _eval_min_shape(expected: dict, computed: dict) -> bool:
 _ZS = ("z", "z_c")
 
 # claim -> (computed fields, evaluator, relation string, hard); the fields
-# are the parameters ("z", "z_c") the claim reads, or a function of the
-# graph and its report
+# are the values ("z", "z_c") the claim reads, or a function of the graph
+# and a getter of its values by name
 CLAIMS = {
     "named/path": (_ZS, _eval_equal, "=", True),
     "named/cycle": (_ZS, _eval_equal, "=", True),
@@ -225,7 +251,7 @@ CLAIMS = {
     "corona/zc-bound-as-stated": (("z_c",), _eval_at_most, "<=", False),
     "corona/cycle-path-values": (_ZS, _eval_equal, "=", True),
     "corona/path-cycle-values": (_ZS, _eval_equal, "=", True),
-    "order/z-le-zc": (_order_pair, _eval_order, "<=", True),
+    "order/z-le-zc": (_ZS, _eval_order, "<=", True),
     "path/four-equivalence": (_path_equivalence, _eval_path_equiv, "iff", True),
     "extremal/max-time-shape": (_max_shape, _eval_max_shape, "iff", False),
     "extremal/min-time-shape": (_min_shape, _eval_min_shape, "iff", False),
@@ -235,7 +261,7 @@ CLAIMS = {
 def _computed(solved: _Solved, claim: str, g: Graph) -> dict:
     fields = CLAIMS[claim][0]
     if callable(fields):
-        return fields(g, solved.report(g))
+        return fields(g, partial(solved.value, g))
     return {key: solved.value(g, key) for key in fields}
 
 
@@ -244,8 +270,9 @@ def _check(
 ) -> ClaimResult:
     """One claim row; ``solved`` is the run's table, None checks from scratch."""
     _, evaluate, relation, hard = CLAIMS[claim]
+    solved = solved or _Solved()
     try:
-        computed = _computed(solved or _Solved(), claim, graph_from_instance(instance))
+        computed = _computed(solved, claim, solved.graph(instance))
     except BudgetExceeded as exc:
         computed, verdict = {"closures": exc.closures, **exc.best_known}, "budget-exceeded"
     else:
@@ -340,7 +367,7 @@ def check_product_bounds() -> list[ClaimResult]:
         inst = f"strong(cycle({n}),path({m}))"
         out.append(_check("product/strong-cycle-path", inst, {"bound": n + 2 * m - 2}, solved))
     for factor in _CARTESIAN_LAYER_FACTORS:
-        base = parse_graph_dsl(factor)
+        base = solved.graph(factor)
         for t in (2, 3):
             if base.n * t > 16:
                 continue
@@ -354,7 +381,7 @@ def check_product_bounds() -> list[ClaimResult]:
                 )
             )
     for a, b in _CARTESIAN_FACTOR_PAIRS:
-        ga, gb = parse_graph_dsl(a), parse_graph_dsl(b)
+        ga, gb = solved.graph(a), solved.graph(b)
         bound = min(solved.value(ga, "z_c") * gb.n, solved.value(gb, "z_c") * ga.n)
         inst = f"cartesian({a},{b})"
         out.append(_check("product/cartesian-factor-bound", inst, {"bound": bound}, solved))
@@ -369,7 +396,7 @@ def check_product_bounds() -> list[ClaimResult]:
         inst, value = _gencorona_claim(solved, base, parts)
         out.append(_check("gencorona/zc-equality", inst, {"z_c": value}, solved))
     for a, b in _CORONA_BOUNDS:
-        ga, gb = parse_graph_dsl(a), parse_graph_dsl(b)
+        ga, gb = solved.graph(a), solved.graph(b)
         zh = solved.value(gb, "z")
         inst = f"corona({a},{b})"
         bound = solved.value(ga, "z") + ga.n * zh
@@ -388,8 +415,8 @@ def check_product_bounds() -> list[ClaimResult]:
 
 def _gencorona_claim(solved: _Solved, base: str, parts) -> tuple[str, int]:
     """Instance text of gencorona(base; parts) and |base| + sum of Z(part)."""
-    value = parse_graph_dsl(base).n
-    value += sum(solved.value(parse_graph_dsl(p), "z") for p in parts)
+    value = solved.graph(base).n
+    value += sum(solved.value(solved.graph(p), "z") for p in parts)
     return f"gencorona({base};{','.join(parts)})", value
 
 
@@ -426,7 +453,8 @@ def _orbit_codes(g: Graph, pairs) -> set[int]:
 
 
 def _violated_claims(solved: _Solved, g: Graph) -> set[str]:
-    """The exhaustive claims that g violates."""
+    """The exhaustive claims that g violates, read off one report of g."""
+    solved.solve(g)
     connected = is_connected(g)
     return {
         c
@@ -442,21 +470,28 @@ def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
     The claims read only isomorphism invariants, so each class of
     ``graph_classes`` is evaluated once.  Produces one summary row per
     (claim, n) plus one replayed violated row per labeled counterexample:
-    the relabelings of the violating classes, in code order.
+    the relabelings of the violating classes, in code order.  A class
+    whose report runs out of budget leaves every summary open, so
+    ``BudgetExceeded`` stops the suite.
     """
     out = []
     for n in range(1, n_max + 1):
-        # one table per order: every claim row of a labeled graph, and of a
-        # class representative, reads one report, dropped when n is done
+        # one table per order, dropped when n is done: a class
+        # representative's claims read one report, and each finding graph's
+        # claims one connected drain of its own
         solved = _Solved()
         pairs = list(combinations(range(n), 2))
-        violated = [(g, _violated_claims(solved, g)) for g in graph_classes(n)]
+        violated = []
+        for g in graph_classes(n):
+            bad = _violated_claims(solved, g)
+            if bad:
+                violated.append((bad, _orbit_codes(g, pairs)))
         for c in _EXHAUSTIVE_CLAIMS:
             _, _, relation, hard = CLAIMS[c]
             codes = set()
-            for g, bad in violated:
+            for bad, orbit in violated:
                 if c in bad:
-                    codes |= _orbit_codes(g, pairs)
+                    codes |= orbit
             found = [
                 _edges_instance(n, (p for i, p in enumerate(pairs) if code >> i & 1))
                 for code in sorted(codes)

@@ -1,9 +1,10 @@
 """Unpruned reference solver used to cross-check the packaged one.
 
 Everything here works on plain Python sets and re-derives each parameter
-from the definitions: closures by repeated full scans, connectivity by its
-own traversal, searches by testing every subset of each size.  It shares
-no kernel code with the package.
+from the definitions: closures by repeated full scans, or one force at a
+time in a random order, connectivity by its own traversal, searches by
+testing every subset of each size.  It shares no kernel code with the
+package.
 """
 
 from itertools import combinations
@@ -26,6 +27,35 @@ def closure(adj, black):
         if not add:
             return black
         black |= add
+
+
+def _forces(adj, black):
+    """Every (forcer, forced) pair available against the mask ``black``,
+    forcer-ascending; a vertex with several forcers is listed once each."""
+    out = []
+    for u in range(len(adj)):
+        if black >> u & 1:
+            white = [w for w in sorted(adj[u]) if not black >> w & 1]
+            if len(white) == 1:
+                out.append((u, white[0]))
+    return out
+
+
+def forces_one_round(g, black):
+    """All (forcer, forced) pairs of one simultaneous round from the mask
+    ``black``."""
+    return _forces(neighbor_sets(g), black)
+
+
+def derived_coloring_sequential(g, black, rng):
+    """Fixpoint mask reached from ``black`` by applying one rng-chosen force
+    at a time; the closure does not depend on the order of the forces."""
+    adj = neighbor_sets(g)
+    while True:
+        avail = _forces(adj, black)
+        if not avail:
+            return black
+        black |= 1 << avail[rng.randrange(len(avail))][1]
 
 
 def rounds_to_fill(adj, black):

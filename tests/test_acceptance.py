@@ -8,14 +8,10 @@ import random
 import time
 
 from naive_oracle import closure as oracle_closure
-from naive_oracle import neighbor_sets, solve as oracle_solve
+from naive_oracle import derived_coloring_sequential, neighbor_sets, solve as oracle_solve
 from zeroforcing.cli import main as cli_main
 from zeroforcing.families import cycle, path, supertriangle
-from zeroforcing.forcing import (
-    derived_coloring,
-    derived_coloring_sequential,
-    propagation_trace,
-)
+from zeroforcing.forcing import derived_coloring, propagation_trace
 from zeroforcing.graphs import mask_of, new_graph, vertices_of
 from zeroforcing.solver import solve_report
 from zeroforcing.verify import (

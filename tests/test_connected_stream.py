@@ -298,3 +298,34 @@ def test_enumerate_budget_bounds_the_whole_call():
     assert info.value.closures == 400110
     whole = 400110 + len(connected_in_components_sets(g, 11))
     assert len(list(enumerate_min_czfs(g, 11, whole))) == 24050
+
+
+def test_connected_drain_matches_solve_report_from_every_start():
+    """The connected phase run alone, from the min-degree bound, from Z or
+    from Z_c, finds solve_report's Z_c, pt_c and PT_c, with its count and
+    witnesses, on every class of order <= 7 and one seeded relabeling of
+    each, disconnected graphs included."""
+    from zeroforcing.graphs import is_connected, relabel
+    from zeroforcing.verify import graph_classes
+
+    rnd = random.Random(18)
+    disconnected = 0
+    for n in range(1, 8):
+        for h in graph_classes(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            disconnected += not is_connected(h)
+            for g in (h, relabel(h, perm)):
+                rep = solve_report(g)
+                for start in (solver._zfs_lower_bound(g), rep.z, rep.z_c):
+                    fields, witnesses = {}, {}
+                    meter = solver._Meter(solver.DEFAULT_BUDGET)
+                    solver._run_phases(g, meter, start, (True,), fields, witnesses)
+                    assert fields == {
+                        "z_c": rep.z_c,
+                        "min_czfs_count": rep.min_czfs_count,
+                        "ptc_min": rep.ptc_min,
+                        "ptc_max": rep.ptc_max,
+                    }
+                    assert witnesses == {k: rep.witnesses[k] for k in ("z_c", "pt_c", "PT_c")}
+    assert disconnected > 0

@@ -6,15 +6,13 @@ from hypothesis import strategies as st
 
 from conftest import graphs, graphs_with_sets
 from naive_oracle import closure as naive_closure
-from naive_oracle import neighbor_sets
+from naive_oracle import derived_coloring_sequential, forces_one_round, neighbor_sets
 from zeroforcing.families import complete, cycle, path, star, supertriangle
 from zeroforcing.forcing import (
     NotForcing,
     _batch_rounds,
     _rounds,
     derived_coloring,
-    derived_coloring_sequential,
-    forces_one_round,
     is_czfs,
     is_zfs,
     propagation_time,

@@ -117,7 +117,9 @@ def test_every_row_equals_its_replay_from_scratch():
 
 
 def count_solves(monkeypatch):
-    """Record every (graph, parameter) that verify asks the solver for."""
+    """Record every (graph, search) that verify asks the solver for: a Z or
+    Z_c first hit ("z", "z_c"), a solve report ("report") or a connected
+    drain ("drain")."""
     import zeroforcing.verify as verify
 
     calls = []
@@ -134,6 +136,8 @@ def count_solves(monkeypatch):
     recorder("zero_forcing_number", lambda *a: "z")
     recorder("_first_hit", lambda budget, connected, start: "z_c" if connected else "z")
     recorder("solve_report", lambda *a: "report")
+    # verify runs the connected phase alone; any other phases show as such
+    recorder("_run_phases", lambda m, start, phases, *a: "drain" if phases == (True,) else phases)
     return calls
 
 
@@ -143,16 +147,22 @@ def test_each_graph_parameter_is_solved_once_per_suite_call(monkeypatch):
         calls.clear()
         suite()
         assert calls and len(set(calls)) == len(calls), suite.__name__
-    # the exhaustive suite solves per order n; one report per labeled graph
-    # serves a class representative and every finding row that lists it
+    # the exhaustive suite solves per order n: one report per class
+    # representative serves its four claims, and one connected drain per
+    # other finding graph serves every finding row that lists it
     calls.clear()
     rows = exhaustive_small_graphs(5)
-    assert {key for _, key in calls} == {"report"}
-    assert len(set(calls)) == len(calls)
-    findings = {r.instance for r in rows if not r.instance.startswith("all-labeled")}
+    classes = [g for n in range(1, 6) for g in graph_classes(n)]
+    assert [g for g, key in calls if key == "report"] == classes
+    drained = [g for g, key in calls if key == "drain"]
+    assert len(drained) + len(classes) == len(calls)
     finding_rows = [r for r in rows if not r.instance.startswith("all-labeled")]
+    findings = {graph_from_instance(r.instance) for r in finding_rows}
     assert len(finding_rows) > len(findings)
-    assert len(calls) <= len(findings) + sum(1 for n in range(1, 6) for _ in graph_classes(n))
+    # each finding graph is solved: by its own drain, once, or as a class
+    # representative; no class's values stand in for a relabeling
+    assert len(set(drained)) == len(drained)
+    assert set(drained) == findings - set(classes)
 
 
 def test_run_suites_keep_no_state_between_calls(monkeypatch):
@@ -202,6 +212,38 @@ def test_table_finds_z_before_z_c(monkeypatch):
     assert solved.value(g, "z") == 7 and len(calls) == 2
 
 
+def test_table_drains_pt_c_from_the_best_bound_held(monkeypatch):
+    """pt_c and PT_c come with Z_c from one connected drain, started at Z_c,
+    else at Z, else at the min-degree bound; a path row runs that drain
+    alone."""
+    import zeroforcing.verify as verify
+    from zeroforcing.families import star
+
+    g = star(6)  # min degree 1, Z = 4, Z_c = 5
+    calls = count_solves(monkeypatch)
+    drain, starts = verify._run_phases, []
+
+    def record_start(h, meter, start, *args):
+        starts.append(start)
+        return drain(h, meter, start, *args)
+
+    monkeypatch.setattr(verify, "_run_phases", record_start)
+    for known, start in (((), 1), (("z",), 4), (("z", "z_c"), 5)):
+        solved = verify._Solved()
+        for key in known:
+            solved.value(g, key)
+        calls.clear()
+        starts.clear()
+        values = [solved.value(g, key) for key in ("PT_c", "pt_c", "z_c", "PT_c")]
+        assert values == [1, 1, 5, 1]
+        assert calls == [(g, "drain")] and starts == [start]
+    calls.clear()
+    starts.clear()
+    row = verify._check("path/four-equivalence", "star(6)", {})
+    assert row.computed == {"n": 6, "z_c": 5, "pt_c": 1, "PT_c": 1, "is_path": False}
+    assert calls == [(g, "drain")] and starts == [1]
+
+
 def test_exceeded_row_carries_the_meters_bound(monkeypatch):
     """A row whose search runs out records the closures and the lower bound
     of the search's meter, as every solver entry point reports it."""
@@ -211,7 +253,9 @@ def test_exceeded_row_carries_the_meters_bound(monkeypatch):
     inst = "strong(cycle(6),path(4))"
     g = graph_from_instance(inst)
 
-    monkeypatch.setattr(verify, "zero_forcing_number", lambda h: solver.zero_forcing_number(h, 10))
+    monkeypatch.setattr(
+        verify, "zero_forcing_number", lambda h, budget: solver.zero_forcing_number(h, 10)
+    )
     row = verify._check("product/strong-cycle-path", inst, {"bound": 12})
     assert row.verdict == "budget-exceeded"
     assert row.computed == {"closures": 10, "z_lower_bound": solver._zfs_lower_bound(g)}
@@ -221,6 +265,48 @@ def test_exceeded_row_carries_the_meters_bound(monkeypatch):
     row = verify._check("product/strong-cycle-path", inst, {"bound": 12})
     assert row.verdict == "budget-exceeded"
     assert row.computed == {"closures": 10, "z_c_lower_bound": 12}
+
+
+def test_exhausted_drain_is_a_budget_exceeded_row(monkeypatch):
+    """A finding replayed, and a path row checked, under a budget that runs
+    out in the connected drain are budget-exceeded, with the drain meter's
+    closures and lower bound, never a verdict read off an unknown value."""
+    import zeroforcing.solver as solver
+    import zeroforcing.verify as verify
+
+    finding = next(
+        r for r in exhaustive_small_graphs(5)
+        if r.claim == "extremal/max-time-shape" and r.instance.startswith("edges:")
+    )
+    monkeypatch.setattr(verify, "DEFAULT_BUDGET", 3)
+    path_row = verify._check("path/four-equivalence", "cycle(6)", {})
+    for row in (replay_claim(finding), path_row):
+        bound = solver._zfs_lower_bound(graph_from_instance(row.instance))
+        assert row.verdict == "budget-exceeded", row.instance
+        assert row.computed == {"closures": 3, "z_c_lower_bound": bound}
+
+
+def test_exhausted_class_report_stops_the_suite(monkeypatch):
+    """A class report that runs out leaves the table without the class's
+    values and stops the exhaustive suite with the report's closures and
+    lower bound, never a verdict read off an unknown value."""
+    import zeroforcing.verify as verify
+    from zeroforcing.solver import BudgetExceeded, solve_report
+
+    monkeypatch.setattr(verify, "DEFAULT_BUDGET", 2)
+    for n in range(1, 4):
+        for g in graph_classes(n):
+            rep = solve_report(g, 2)
+            solved = verify._Solved()
+            with pytest.raises(BudgetExceeded) as exc:
+                solved.solve(g)
+            assert rep.budget_exceeded and exc.value.closures == rep.closures
+            assert exc.value.best_known == rep.lower_bounds
+            assert g not in solved._values
+    # the one-vertex class gets through its Z phase and runs out on Z_c
+    with pytest.raises(BudgetExceeded) as exc:
+        exhaustive_small_graphs(3)
+    assert (exc.value.closures, exc.value.best_known) == (2, {"z_c_lower_bound": 1})
 
 
 @pytest.mark.parametrize(
