@@ -17,6 +17,7 @@ import os
 import sys
 from contextlib import nullcontext
 from functools import cache
+from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
 from .dsl import ParseError, parse_graph_dsl
@@ -71,8 +72,50 @@ _FAMILY_HELP = [
 ]
 
 
+def _dumps(obj, newline: str = "\n") -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, nested where ``newline``
+    (a newline and the indent) starts a line.
+
+    With an indent, ``json`` encodes in pure Python, one generator step per
+    token; this writes the dicts with string keys and the lists, and the
+    strings, ints, bools and None in them, with one call per value.
+    Anything else goes to ``json.dumps``, re-indented: a newline in its
+    output always starts a line, since strings escape theirs.
+    """
+    write = _WRITERS.get(type(obj))
+    return write(obj, newline) if write else json.dumps(obj, indent=2).replace("\n", newline)
+
+
+def _dumps_list(items, newline: str) -> str:
+    inner = newline + "  "
+    parts = [_dumps(item, inner) for item in items]
+    return "[" + inner + ("," + inner).join(parts) + newline + "]" if parts else "[]"
+
+
+def _dumps_dict(obj, newline: str) -> str:
+    inner = newline + "  "
+    parts = []
+    for key, value in obj.items():
+        if type(key) is not str:
+            # json writes other keys as strings; leave those to it
+            return json.dumps(obj, indent=2).replace("\n", newline)
+        parts.append(_encode_str(key) + ": " + _dumps(value, inner))
+    return "{" + inner + ("," + inner).join(parts) + newline + "}" if parts else "{}"
+
+
+# writer by exact type: a subclass, such as a str subclass, goes to json.dumps
+_WRITERS = {
+    str: lambda text, _: _encode_str(text),
+    int: lambda number, _: int.__repr__(number),
+    bool: lambda flag, _: "true" if flag else "false",
+    type(None): lambda _, __: "null",
+    list: _dumps_list,
+    dict: _dumps_dict,
+}
+
+
 def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    return _dumps(obj) + "\n"
 
 
 def _emit(text, out_path: str | None):
@@ -84,9 +127,12 @@ def _emit(text, out_path: str | None):
 
 def _json_rows(rows):
     """``_json_text`` of the rows' JSON dicts, encoded ``_BLOCK_ROWS`` rows at a time."""
-    encode, opening = json.JSONEncoder(indent=2).encode, "[\n"
+    if not rows:
+        yield _json_text([])
+        return
+    opening = "[\n"
     for i in range(0, len(rows), _BLOCK_ROWS):
-        block = encode([r.to_json_dict() for r in rows[i : i + _BLOCK_ROWS]])
+        block = _dumps([r.to_json_dict() for r in rows[i : i + _BLOCK_ROWS]])
         # strip the block's own "[\n" and "\n]"
         yield opening + block[2:-2]
         opening = ",\n"

@@ -102,9 +102,12 @@ class Graph:
             if nb & ~full:
                 raise EndpointOutOfRange(f"adjacency of {v} mentions ids >= {self.n}")
         for v, nb in enumerate(self.adj):
-            for u in iter_vertices(nb):
+            while nb:
+                low = nb & -nb
+                u = low.bit_length() - 1
                 if not self.adj[u] >> v & 1:
                     raise GraphError(f"adjacency is not symmetric at ({u}, {v})")
+                nb ^= low
         if self.labels is not None and len(self.labels) != self.n:
             raise GraphError("label count does not match vertex count")
 
@@ -157,11 +160,14 @@ def new_graph(n: int, edges, labels=None) -> Graph:
 
 def _reach(g: Graph, start: int, allowed: int) -> int:
     """Vertices reachable from mask ``start`` by paths inside mask ``allowed``."""
+    adj = g.adj
     reach = frontier = start
     while frontier:
         nxt = 0
-        for u in iter_vertices(frontier):
-            nxt |= g.adj[u]
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & allowed & ~reach
         reach |= frontier
     return reach
@@ -195,9 +201,15 @@ def is_connected_in_components(g: Graph, s: int) -> bool:
     """
     if not s:
         raise EmptySet("the empty set is not connected in components")
-    for comp in components(g):
+    return meets_connected(g, components(g), s)
+
+
+def meets_connected(g: Graph, comps, s: int) -> bool:
+    """True iff ``s`` meets each of the component masks ``comps`` in a
+    connected set or not at all."""
+    for comp in comps:
         part = comp & s
-        if part and not induces_connected(g, part):
+        if part and _reach(g, part & -part, part) != part:
             return False
     return True
 

@@ -11,14 +11,16 @@ row cache keeps the rows of at most a quarter run, and wider rows are
 built from them.  For connected sets the stream first keeps, per run,
 the sets that the bit-sliced connectivity kernel finds connected in
 components, and closes only those.  A run of at most ``_SCALAR_LEVEL``
-sets, such as every level of a graph on at most 6 vertices, is evaluated
-set by set with ``forcing._rounds`` from its cached masks instead, since a
-kernel call costs more than those few sets.  ``_min_level`` is the
-one level search: value queries stop at its first hit, drains read the
-whole level.  ``_run_phases`` is the one phase loop, run from a given
-start level: ``solve_report`` runs the Z phase and then the connected
-one, ``propagation_extrema`` the phases up to the one asked for, and a
-caller that knows a lower bound on Z_c the connected phase alone.
+sets, such as every level of a graph on at most 6 vertices, builds no
+columns, since a kernel call costs more than those few sets: it walks the
+run's cached masks, tests each against g's component masks when only
+connected sets count, and closes each kept set with ``forcing._rounds``.
+``_min_level`` is the one level search: value queries stop at its first
+hit, drains read the whole level.  ``_run_phases`` is the one phase loop,
+run from a given start level: ``solve_report`` runs the Z phase and then
+the connected one, ``propagation_extrema`` the phases up to the one asked
+for, and a caller that knows a lower bound on Z_c the connected phase
+alone.
 ``solve_report`` closes level Z once: since Z <= Z_c, its connected phase
 starts there and masks the Z phase's round bitmaps with each run's
 connectivity mask instead of closing again.
@@ -39,7 +41,7 @@ from functools import lru_cache
 from math import comb
 
 from .forcing import _batch_rounds, _rounds
-from .graphs import Graph, components, connected_columns, vertices_of
+from .graphs import Graph, components, connected_columns, meets_connected, vertices_of
 
 DEFAULT_BUDGET = 10**8
 # sets per bit-sliced kernel call in the level stream
@@ -180,6 +182,18 @@ def _run_masks(n: int, run) -> tuple[int, ...]:
     return tuple(_unrank_bits(n, run, (1 << run[3]) - 1))
 
 
+def _run_columns(g: Graph, run, connected: bool) -> tuple[list[int], int]:
+    """``(cols, ones)`` of one run (see ``_level_columns``)."""
+    prefix, s, r, count = run
+    ones = (1 << count) - 1
+    cols = [0] * s + list(_row(g.n - s, r, _LEVEL_WIDTH))
+    for v in vertices_of(prefix):
+        cols[v] = ones
+    if connected:
+        ones = connected_columns(*_shape(g), cols, ones)
+    return cols, ones
+
+
 def _level_columns(g: Graph, k: int, connected: bool):
     """Yield ``(run, cols, ones)`` for each kernel-sized run of level k, in
     stream order.
@@ -189,16 +203,8 @@ def _level_columns(g: Graph, k: int, connected: bool):
     connected in components.  Bits of ``cols`` outside ``ones`` are
     meaningless; the kernels ignore them.
     """
-    n = g.n
-    for run in _level_runs(n, k, _LEVEL_WIDTH):
-        prefix, s, r, count = run
-        ones = (1 << count) - 1
-        cols = [0] * s + list(_row(n - s, r, _LEVEL_WIDTH))
-        for v in vertices_of(prefix):
-            cols[v] = ones
-        if connected:
-            ones = connected_columns(*_shape(g), cols, ones)
-        yield run, cols, ones
+    for run in _level_runs(g.n, k, _LEVEL_WIDTH):
+        yield run, *_run_columns(g, run, connected)
 
 
 def _level_stream(g: Graph, k: int, connected: bool = False, closed=None):
@@ -207,28 +213,39 @@ def _level_stream(g: Graph, k: int, connected: bool = False, closed=None):
     ``ones`` holds the run's sets in the stream (see ``_level_columns``);
     ``done`` is the per-round finished bitmap of the run's kept sets: bit j
     of ``done[t]`` says the run's j-th set forces g in exactly t rounds.
-    Runs of more than ``_SCALAR_LEVEL`` sets take it from ``_batch_rounds``,
-    smaller ones from ``_rounds`` set by set.
+    Runs of more than ``_SCALAR_LEVEL`` sets take both from the bit-sliced
+    kernels.  Smaller ones build no columns: they walk the run's cached
+    masks, test each against g's components with ``connected``, and close
+    each kept set with ``_rounds``.
     ``closed`` maps the runs of level k that hold a zero forcing set to
     their ``done`` over all k-sets.  With it the stream closes nothing and
     restricts those bitmaps to ``ones``: every column of the kernel evolves
     on its own, so a set's rounds do not depend on the other sets of its run.
     """
-    for run, cols, ones in _level_columns(g, k, connected):
+    n, adj, full, comps = g.n, g.adj, g.full_mask, None
+    for run in _level_runs(n, k, _LEVEL_WIDTH):
+        if run[3] > _SCALAR_LEVEL:
+            cols, ones = _run_columns(g, run, connected)
+            if closed is None:
+                done = _batch_rounds(_shape(g)[0], cols, ones) if ones else [0]
+        else:
+            # a kernel call costs more than these few sets: go set by set
+            masks = _run_masks(n, run)
+            if connected:
+                comps = comps or components(g)
+                ones = sum(1 << j for j, m in enumerate(masks) if meets_connected(g, comps, m))
+            else:
+                ones = (1 << run[3]) - 1
+            if closed is None:
+                done = [0]
+                for j, m in enumerate(masks):
+                    if ones >> j & 1:
+                        black, t = _rounds(adj, full, m)
+                        if black == full:
+                            done.extend([0] * (t + 1 - len(done)))
+                            done[t] |= 1 << j
         if closed is not None:
             done = _restrict(closed.get(run, (0,)), ones)
-        elif run[3] > _SCALAR_LEVEL:
-            done = _batch_rounds(_shape(g)[0], cols, ones) if ones else [0]
-        else:
-            # a kernel call costs more than these few sets: fill done set by set
-            adj, full = g.adj, g.full_mask
-            done = [0]
-            for j, m in enumerate(_run_masks(g.n, run)):
-                if ones >> j & 1:
-                    black, t = _rounds(adj, full, m)
-                    if black == full:
-                        done.extend([0] * (t + 1 - len(done)))
-                        done[t] |= 1 << j
         yield run, ones, done
 
 

@@ -88,13 +88,9 @@ def graph_from_instance(desc: str) -> Graph:
     return new_graph(n, zip(ends[::2], ends[1::2]))
 
 
-def _edges_instance(n: int, edges) -> str:
-    """The descriptor ``edges:n=N;u-v,...`` that ``graph_from_instance`` reads."""
-    return f"edges:n={n};" + ",".join(f"{u}-{v}" for u, v in edges)
-
-
 def graph_to_instance(g: Graph) -> str:
-    return _edges_instance(g.n, g.edges())
+    """The descriptor ``edges:n=N;u-v,...`` that ``graph_from_instance`` reads."""
+    return f"edges:n={g.n};" + ",".join(f"{u}-{v}" for u, v in g.edges())
 
 
 class _Solved:
@@ -266,13 +262,18 @@ def _computed(solved: _Solved, claim: str, g: Graph) -> dict:
 
 
 def _check(
-    claim: str, instance: str, expected: dict, solved: _Solved | None = None
+    claim: str,
+    instance: str,
+    expected: dict,
+    solved: _Solved | None = None,
+    g: Graph | None = None,
 ) -> ClaimResult:
-    """One claim row; ``solved`` is the run's table, None checks from scratch."""
+    """One claim row; ``solved`` is the run's table, None checks from
+    scratch, and ``g`` the instance's graph, None parses it."""
     _, evaluate, relation, hard = CLAIMS[claim]
     solved = solved or _Solved()
     try:
-        computed = _computed(solved, claim, solved.graph(instance))
+        computed = _computed(solved, claim, g or solved.graph(instance))
     except BudgetExceeded as exc:
         computed, verdict = {"closures": exc.closures, **exc.best_known}, "budget-exceeded"
     else:
@@ -444,12 +445,11 @@ def graph_classes(n: int) -> tuple[Graph, ...]:
 
 def _orbit_codes(g: Graph, pairs) -> set[int]:
     """Edge-subset codes (bit i selects ``pairs[i]``) of g's relabelings."""
-    bit = {p: 1 << i for i, p in enumerate(pairs)}
+    bit = [[0] * g.n for _ in range(g.n)]
+    for i, (u, v) in enumerate(pairs):
+        bit[u][v] = bit[v][u] = 1 << i
     edges = g.edges()
-    return {
-        sum(bit[min(p[u], p[v]), max(p[u], p[v])] for u, v in edges)
-        for p in permutations(range(g.n))
-    }
+    return {sum(bit[p[u]][p[v]] for u, v in edges) for p in permutations(range(g.n))}
 
 
 def _violated_claims(solved: _Solved, g: Graph) -> set[str]:
@@ -486,21 +486,36 @@ def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
             bad = _violated_claims(solved, g)
             if bad:
                 violated.append((bad, _orbit_codes(g, pairs)))
+        # a finding's descriptor and graph, built once from its edge code
+        words = [f"{u}-{v}" for u, v in pairs]
+        findings = {}
         for c in _EXHAUSTIVE_CLAIMS:
             _, _, relation, hard = CLAIMS[c]
             codes = set()
             for bad, orbit in violated:
                 if c in bad:
                     codes |= orbit
-            found = [
-                _edges_instance(n, (p for i, p in enumerate(pairs) if code >> i & 1))
-                for code in sorted(codes)
-            ]
-            summary = {"graphs": 1 << len(pairs), "violations": len(found)}
-            verdict = "violated" if found else "holds"
+            summary = {"graphs": 1 << len(pairs), "violations": len(codes)}
+            verdict = "violated" if codes else "holds"
             out.append(ClaimResult(c, f"all-labeled(n={n})", relation, {}, summary, verdict, hard))
-            out.extend(_check(c, inst, {}, solved) for inst in found)
+            for code in sorted(codes):
+                if code not in findings:
+                    findings[code] = _finding(n, pairs, words, code)
+                inst, g = findings[code]
+                out.append(_check(c, inst, {}, solved, g))
     return out
+
+
+def _finding(n: int, pairs, words, code: int) -> tuple[str, Graph]:
+    """The ``edges:`` descriptor and graph of the edge code ``code`` (bit i
+    selects ``pairs[i]``, written ``words[i]``)."""
+    adj, chosen = [0] * n, []
+    for i, (u, v) in enumerate(pairs):
+        if code >> i & 1:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+            chosen.append(words[i])
+    return f"edges:n={n};" + ",".join(chosen), Graph(n, tuple(adj))
 
 
 def run_suites(suite: str = "all", nmax: int = 6) -> list[ClaimResult]:

@@ -6,6 +6,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import zeroforcing.cli as cli
 import zeroforcing.solver as solver
@@ -409,20 +411,51 @@ def test_readme_examples_run(capsys, monkeypatch, argv):
     assert out
 
 
-@pytest.mark.parametrize("suite", ["named", "products"])
+@pytest.mark.parametrize("suite", ["named", "products", "exhaustive"])
 def test_streamed_verify_document_is_one_dump(capsys, tmp_path, monkeypatch, suite):
     """Encoding the rows block by block gives the bytes of one json.dumps
     of the whole array, on stdout and through --out, whatever the block
     size: blocks of 1 and 7 rows put block edges inside every suite."""
     from zeroforcing.verify import run_suites
 
-    rows = run_suites(suite=suite)
+    flags = ["verify", "--suite", suite, "--nmax", "4"]
+    rows = run_suites(suite=suite, nmax=4)
     expected = json.dumps([r.to_json_dict() for r in rows], indent=2) + "\n"
     assert len(rows) > 7 and len(rows) % 7
     for block in (1, 7, cli._BLOCK_ROWS):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
-        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        code, out, _ = run_cli(capsys, *flags)
         assert code == 0 and out == expected
         path = tmp_path / f"{suite}-{block}.json"
-        assert main(["verify", "--suite", suite, "--out", str(path)]) == 0
+        assert main([*flags, "--out", str(path)]) == 0
         assert path.read_text() == expected
+
+
+def test_json_rows_of_no_rows_is_an_empty_array():
+    assert "".join(cli._json_rows([])) == cli._json_text([]) == "[]\n"
+
+
+# what verify rows hold, and the escapes and key kinds json treats apart
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40)
+    | st.text() | st.sampled_from(["", "\n", "\"", "\\", "\x00", "\u00e9", "\U0001f600", "\ud800"]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@given(json_values)
+def test_writer_matches_json_dumps_indent_2(obj):
+    assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [1.5, float("nan"), (1, [2]), {1: "a", True: [], None: {}}, {"k": (1.0, {"x": [()]})}],
+    ids=repr,
+)
+def test_writer_hands_other_values_to_json(obj):
+    """Floats, tuples and non-string keys go to json.dumps, re-indented."""
+    for value in (obj, [obj], {"outer": [obj, {"inner": obj}]}):
+        assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"

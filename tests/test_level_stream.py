@@ -18,7 +18,7 @@ import zeroforcing.solver as solver
 from naive_oracle import min_forcing_sets, neighbor_sets, rounds_to_fill
 from zeroforcing.dsl import parse_graph_dsl
 from zeroforcing.forcing import _rounds
-from zeroforcing.graphs import mask_of, new_graph
+from zeroforcing.graphs import mask_of, new_graph, relabel
 from zeroforcing.solver import (
     BudgetExceeded,
     enumerate_min_zfs,
@@ -26,6 +26,7 @@ from zeroforcing.solver import (
     solve_report,
     zero_forcing_number,
 )
+from zeroforcing.verify import graph_classes
 
 def random_graph(rnd, n):
     p = rnd.uniform(0.15, 0.6)
@@ -135,6 +136,37 @@ def test_level_stream_matches_scalar_reference(stream_setting):
         g = random_graph(rnd, rnd.randint(10, 12))
         for k in range(1, g.n + 1):
             assert stream_level(g, k) == reference_level(g, k), (g, k)
+
+
+def tiny_graphs():
+    """Every class of order at most 6, disconnected ones included, each with
+    one seeded relabeling."""
+    rnd = random.Random(19)
+    for n in range(1, 7):
+        for g in graph_classes(n):
+            perm = list(range(n))
+            rnd.shuffle(perm)
+            yield g
+            yield relabel(g, perm)
+
+
+def test_set_by_set_runs_match_the_kernels(monkeypatch):
+    """At cutoff 20 every run of a graph on at most 6 vertices goes set by
+    set, at cutoff 0 through the bit-sliced kernels; both yield the same
+    runs, kept sets and bitmaps on every level, with and without
+    ``connected`` and ``closed``."""
+
+    def stream(g, k, connected, scalar, closed=None):
+        monkeypatch.setattr(solver, "_SCALAR_LEVEL", scalar)
+        return list(solver._level_stream(g, k, connected, closed))
+
+    for g in tiny_graphs():
+        for k in range(g.n + 1):
+            closed = {run: done for run, _, done in stream(g, k, False, 0) if done[-1]}
+            for connected in (False, True):
+                for with_closed in (None, closed):
+                    kernel = stream(g, k, connected, 0, with_closed)
+                    assert stream(g, k, connected, 20, with_closed) == kernel, (g, k)
 
 
 def test_queries_match_scalar_reference(stream_setting):

@@ -78,6 +78,33 @@ def test_exhaustive_findings_replay():
         assert again.computed == r.computed
 
 
+def test_finding_rows_describe_the_graph_they_checked(monkeypatch):
+    """A finding row's graph is built from its edge code, not parsed from
+    its descriptor; the descriptor must still parse to exactly that graph,
+    and the row must replay."""
+    from dataclasses import asdict
+
+    import zeroforcing.verify as verify
+
+    checked = {}
+    real = verify._check
+
+    def recording(claim, instance, expected, solved=None, g=None):
+        row = real(claim, instance, expected, solved, g)
+        checked[id(row)] = g
+        return row
+
+    monkeypatch.setattr(verify, "_check", recording)
+    rows = [r for r in exhaustive_small_graphs(5) if not r.instance.startswith("all-labeled")]
+    monkeypatch.undo()
+    assert rows
+    for r in rows:
+        g = checked[id(r)]
+        assert g is not None and graph_from_instance(r.instance) == g
+        assert graph_to_instance(g) == r.instance
+        assert asdict(replay_claim(r)) == asdict(r)
+
+
 def test_exhaustive_verdicts_relabeling_invariant():
     import random
 
