@@ -16,11 +16,9 @@ columns, since a kernel call costs more than those few sets: it walks the
 run's cached masks, tests each against g's component masks when only
 connected sets count, and closes each kept set with ``forcing._rounds``.
 ``_min_level`` is the one level search: value queries stop at its first
-hit, drains read the whole level.  ``_run_phases`` is the one phase loop,
-run from a given start level: ``solve_report`` runs the Z phase and then
-the connected one, ``propagation_extrema`` the phases up to the one asked
-for, and a caller that knows a lower bound on Z_c the connected phase
-alone.
+hit, drains read the whole level.  ``_run_phases`` is the one phase loop:
+it runs the Z phase and then, if asked, the connected one, for
+``solve_report`` and ``propagation_extrema``.
 ``solve_report`` closes level Z once: since Z <= Z_c, its connected phase
 starts there and masks the Z phase's round bitmaps with each run's
 connectivity mask instead of closing again.
@@ -183,7 +181,13 @@ def _run_masks(n: int, run) -> tuple[int, ...]:
 
 
 def _run_columns(g: Graph, run, connected: bool) -> tuple[list[int], int]:
-    """``(cols, ones)`` of one run (see ``_level_columns``)."""
+    """``(cols, ones)`` of one run of the level stream.
+
+    Bit j of ``cols[v]`` says v lies in the run's j-th set.  ``ones`` holds
+    the sets the stream keeps: all of them, or with ``connected`` those
+    connected in components.  Bits of ``cols`` outside ``ones`` are
+    meaningless; the kernels ignore them.
+    """
     prefix, s, r, count = run
     ones = (1 << count) - 1
     cols = [0] * s + list(_row(g.n - s, r, _LEVEL_WIDTH))
@@ -194,23 +198,10 @@ def _run_columns(g: Graph, run, connected: bool) -> tuple[list[int], int]:
     return cols, ones
 
 
-def _level_columns(g: Graph, k: int, connected: bool):
-    """Yield ``(run, cols, ones)`` for each kernel-sized run of level k, in
-    stream order.
-
-    Bit j of ``cols[v]`` says v lies in the run's j-th set.  ``ones`` holds
-    the sets the stream keeps: all of them, or with ``connected`` those
-    connected in components.  Bits of ``cols`` outside ``ones`` are
-    meaningless; the kernels ignore them.
-    """
-    for run in _level_runs(g.n, k, _LEVEL_WIDTH):
-        yield run, *_run_columns(g, run, connected)
-
-
 def _level_stream(g: Graph, k: int, connected: bool = False, closed=None):
     """Yield ``(run, ones, done)`` for each run of level k, in stream order.
 
-    ``ones`` holds the run's sets in the stream (see ``_level_columns``);
+    ``ones`` holds the run's sets in the stream (see ``_run_columns``);
     ``done`` is the per-round finished bitmap of the run's kept sets: bit j
     of ``done[t]`` says the run's j-th set forces g in exactly t rounds.
     Runs of more than ``_SCALAR_LEVEL`` sets take both from the bit-sliced
@@ -278,8 +269,8 @@ def connected_in_components_sets(g: Graph, k: int) -> list[int]:
         return []
     return [
         m
-        for run, _, ones in _level_columns(g, k, connected=True)
-        for m in _unrank_bits(g.n, run, ones)
+        for run in _level_runs(g.n, k, _LEVEL_WIDTH)
+        for m in _unrank_bits(g.n, run, _run_columns(g, run, True)[1])
     ]
 
 
@@ -344,8 +335,7 @@ def propagation_extrema(
     Runs and charges the phases of ``solve_report`` up to the one asked for.
     """
     fields, witnesses = {}, {}
-    phases = (False, True)[: 1 + connected]
-    _run_phases(g, _Meter(budget), _zfs_lower_bound(g), phases, fields, witnesses)
+    _run_phases(g, _Meter(budget), connected, fields, witnesses)
     *_, (lo, hi), (_, wlo, whi) = _PHASES[connected]
     return (fields[lo], witnesses[wlo]), (fields[hi], witnesses[whi])
 
@@ -471,18 +461,17 @@ _PHASES = (
 )
 
 
-def _run_phases(g: Graph, meter: _Meter, start: int, phases, fields: dict, witnesses: dict):
-    """Run one phase per ``connected`` flag in ``phases`` (see ``_PHASES``),
-    in order, filling ``fields`` and ``witnesses`` as each value becomes
-    known.  The first phase starts at level ``start``, which must be at
-    most its value; each later one starts on the level where the last one
-    stopped, so a connected phase may follow the Z phase, since Z <= Z_c."""
-    k, closed = start, None
-    for connected in phases:
-        name, _, value, count_key, (lo, hi), (wk, wlo, whi) = _PHASES[connected]
+def _run_phases(g: Graph, meter: _Meter, connected: bool, fields: dict, witnesses: dict):
+    """Run the Z phase and then, with ``connected``, the connected phase
+    (see ``_PHASES``), filling ``fields`` and ``witnesses`` as each value
+    becomes known.  The Z phase starts at the min-degree bound; the
+    connected phase on the level where it stopped, since Z <= Z_c."""
+    k, closed = _zfs_lower_bound(g), None
+    for phase in (False, True)[: 1 + connected]:
+        name, _, value, count_key, (lo, hi), (wk, wlo, whi) = _PHASES[phase]
         # the connected phase starts on the level that the Z phase has just
         # closed, and reuses its bitmaps
-        found = list(_min_level(g, meter, k, connected, closed))
+        found = list(_min_level(g, meter, k, phase, closed))
         k = found[0][0]
         closed = {run: done for _, run, done in found}
         count, witness, (tmin, wmin), (tmax, wmax) = _level_summary(g.n, found)
@@ -490,7 +479,7 @@ def _run_phases(g: Graph, meter: _Meter, start: int, phases, fields: dict, witne
         # pt of every minimum set came with its closure; charge one each.
         # Z <= Z_c again: the Z phase leaves Z as a lower bound on Z_c
         meter.note = f"propagation times of the minimum {name} sets"
-        meter.bound = {} if connected else {_PHASES[True][1]: k}
+        meter.bound = {} if phase else {_PHASES[True][1]: k}
         meter.charge(count)
         fields[lo], fields[hi] = tmin, tmax
         witnesses[wlo], witnesses[whi] = wmin, wmax
@@ -505,7 +494,7 @@ def solve_report(g: Graph, budget: int = DEFAULT_BUDGET) -> SolveReport:
     witnesses = dict.fromkeys(("z", "z_c", "pt", "PT", "pt_c", "PT_c"))
     exceeded, lower_bounds = False, {}
     try:
-        _run_phases(g, meter, _zfs_lower_bound(g), (False, True), fields, witnesses)
+        _run_phases(g, meter, True, fields, witnesses)
     except BudgetExceeded as exc:
         exceeded, lower_bounds = True, exc.best_known
     return SolveReport(

@@ -5,15 +5,17 @@ module, so a suite's rows depend only on its name and, for the exhaustive
 suite, on the largest order.  ``zf verify`` is the command-line front end;
 its ``--format csv`` prints the per-claim verdict counts.
 
-The exhaustive claims are evaluated once per isomorphism class, found by
-one-vertex augmentation and deduped by certificate (``graph_classes``);
-the findings are the relabelings of each violating class, and each such
-labeled graph is checked as a standalone instance.  A suite call solves
-each distinct graph at most once: a per-run table (``_Solved``) holds the
-values that every claim row and expected value reads, by name (Z, Z_c,
-pt_c, PT_c).  A class representative's claims read one solve report, a
-finding graph's rows one connected drain of its own (they read pt_c or
-PT_c only), and the named and product rows Z and Z_c first hits.
+The exhaustive claims read isomorphism invariants only, so they are
+evaluated once per isomorphism class, found by one-vertex augmentation and
+deduped by certificate (``graph_classes``); the findings are the
+relabelings of each violating class, and each carries its class's
+computed fields under its own ``edges:`` descriptor.  ``replay_claim``
+recomputes a finding from its own labeled graph, so label invariance is
+tested, not assumed.  A suite call solves each distinct graph at most
+once: a per-run table (``_Solved``) holds the values that every claim row
+and expected value reads, by name (Z, Z_c, pt_c, PT_c).  A class
+representative's claims read one solve report, and the named and product
+rows Z and Z_c first hits.
 
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
@@ -38,9 +40,6 @@ from .solver import (
     DEFAULT_BUDGET,
     BudgetExceeded,
     _first_hit,
-    _Meter,
-    _run_phases,
-    _zfs_lower_bound,
     solve_report,
     zero_forcing_number,
 )
@@ -97,15 +96,14 @@ class _Solved:
     """The values that claim rows read, by name: Z ("z"), Z_c ("z_c"), pt_c
     ("pt_c") and PT_c ("PT_c"), of the graphs one suite call checks, with
     each graph's descriptors parsed once.  Each kind of row fills the table
-    from its own search, at most once per graph and value:
+    from its own search, at most once per graph and search:
 
     - ``solve`` fills all four values of an exhaustive class representative
       from one ``solve_report``;
     - Z is a first hit, and Z_c a first hit from Z: every connected zero
       forcing set forces, so Z <= Z_c;
-    - pt_c or PT_c, asked for first, come with Z_c from one connected
-      drain, started at the best lower bound held: Z_c, else Z, else the
-      min-degree bound.
+    - pt_c and PT_c, which only rows checked from scratch ask the table
+      for, come with Z and Z_c from ``solve``.
 
     The table stores no unknown value: a search that runs out raises
     ``BudgetExceeded``.  The caller owns the table and drops it with the
@@ -140,15 +138,12 @@ class _Solved:
             elif key == "z_c":
                 known[key] = _first_hit(g, DEFAULT_BUDGET, True, self.value(g, "z"))[0]
             else:
-                start = known.get("z_c") or known.get("z") or _zfs_lower_bound(g)
-                fields = {}
-                _run_phases(g, _Meter(DEFAULT_BUDGET), start, (True,), fields, {})
-                known.update(z_c=fields["z_c"], pt_c=fields["ptc_min"], PT_c=fields["ptc_max"])
-        return known[key]
+                self.solve(g)
+        return self._values[g][key]
 
 
 def _path_equivalence(g: Graph, value) -> dict:
-    # pt_c first: its drain brings Z_c along
+    # pt_c first: its report brings Z_c along
     pt_c = value("pt_c")
     return {
         "n": g.n,
@@ -261,19 +256,13 @@ def _computed(solved: _Solved, claim: str, g: Graph) -> dict:
     return {key: solved.value(g, key) for key in fields}
 
 
-def _check(
-    claim: str,
-    instance: str,
-    expected: dict,
-    solved: _Solved | None = None,
-    g: Graph | None = None,
-) -> ClaimResult:
+def _check(claim: str, instance: str, expected: dict, solved: _Solved | None = None) -> ClaimResult:
     """One claim row; ``solved`` is the run's table, None checks from
-    scratch, and ``g`` the instance's graph, None parses it."""
+    scratch."""
     _, evaluate, relation, hard = CLAIMS[claim]
     solved = solved or _Solved()
     try:
-        computed = _computed(solved, claim, g or solved.graph(instance))
+        computed = _computed(solved, claim, solved.graph(instance))
     except BudgetExceeded as exc:
         computed, verdict = {"closures": exc.closures, **exc.best_known}, "budget-exceeded"
     else:
@@ -452,16 +441,18 @@ def _orbit_codes(g: Graph, pairs) -> set[int]:
     return {sum(bit[p[u]][p[v]] for u, v in edges) for p in permutations(range(g.n))}
 
 
-def _violated_claims(solved: _Solved, g: Graph) -> set[str]:
-    """The exhaustive claims that g violates, read off one report of g."""
+def _violated_claims(solved: _Solved, g: Graph) -> dict[str, dict]:
+    """The computed fields of each exhaustive claim that g violates, read
+    off one report of g."""
     solved.solve(g)
     connected = is_connected(g)
-    return {
-        c
-        for c in _EXHAUSTIVE_CLAIMS
-        if (connected or c not in _CONNECTED_ONLY)
-        and not CLAIMS[c][1]({}, _computed(solved, c, g))
-    }
+    out = {}
+    for c in _EXHAUSTIVE_CLAIMS:
+        if connected or c not in _CONNECTED_ONLY:
+            computed = _computed(solved, c, g)
+            if not CLAIMS[c][1]({}, computed):
+                out[c] = computed
+    return out
 
 
 def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
@@ -469,16 +460,14 @@ def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
 
     The claims read only isomorphism invariants, so each class of
     ``graph_classes`` is evaluated once.  Produces one summary row per
-    (claim, n) plus one replayed violated row per labeled counterexample:
-    the relabelings of the violating classes, in code order.  A class
-    whose report runs out of budget leaves every summary open, so
-    ``BudgetExceeded`` stops the suite.
+    (claim, n) plus one violated row per labeled counterexample: the
+    relabelings of the violating classes, in code order, each with its
+    class's computed fields.  A class whose report runs out of budget
+    leaves every summary open, so ``BudgetExceeded`` stops the suite.
     """
     out = []
     for n in range(1, n_max + 1):
-        # one table per order, dropped when n is done: a class
-        # representative's claims read one report, and each finding graph's
-        # claims one connected drain of its own
+        # one table per order, dropped when n is done
         solved = _Solved()
         pairs = list(combinations(range(n), 2))
         violated = []
@@ -486,36 +475,21 @@ def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
             bad = _violated_claims(solved, g)
             if bad:
                 violated.append((bad, _orbit_codes(g, pairs)))
-        # a finding's descriptor and graph, built once from its edge code
         words = [f"{u}-{v}" for u, v in pairs]
-        findings = {}
         for c in _EXHAUSTIVE_CLAIMS:
             _, _, relation, hard = CLAIMS[c]
-            codes = set()
+            # edge code (bit i selects pairs[i]) -> its class's computed fields
+            found = {}
             for bad, orbit in violated:
                 if c in bad:
-                    codes |= orbit
-            summary = {"graphs": 1 << len(pairs), "violations": len(codes)}
-            verdict = "violated" if codes else "holds"
+                    found.update(dict.fromkeys(orbit, bad[c]))
+            summary = {"graphs": 1 << len(pairs), "violations": len(found)}
+            verdict = "violated" if found else "holds"
             out.append(ClaimResult(c, f"all-labeled(n={n})", relation, {}, summary, verdict, hard))
-            for code in sorted(codes):
-                if code not in findings:
-                    findings[code] = _finding(n, pairs, words, code)
-                inst, g = findings[code]
-                out.append(_check(c, inst, {}, solved, g))
+            for code in sorted(found):
+                inst = f"edges:n={n};" + ",".join(w for i, w in enumerate(words) if code >> i & 1)
+                out.append(ClaimResult(c, inst, relation, {}, found[code], "violated", hard))
     return out
-
-
-def _finding(n: int, pairs, words, code: int) -> tuple[str, Graph]:
-    """The ``edges:`` descriptor and graph of the edge code ``code`` (bit i
-    selects ``pairs[i]``, written ``words[i]``)."""
-    adj, chosen = [0] * n, []
-    for i, (u, v) in enumerate(pairs):
-        if code >> i & 1:
-            adj[u] |= 1 << v
-            adj[v] |= 1 << u
-            chosen.append(words[i])
-    return f"edges:n={n};" + ",".join(chosen), Graph(n, tuple(adj))
 
 
 def run_suites(suite: str = "all", nmax: int = 6) -> list[ClaimResult]:

@@ -99,7 +99,8 @@ def test_sample_graphs_have_one_to_three_components():
 def test_connectivity_kernel_matches_per_set_check(stream_setting):
     for g in sample_graphs(3, 4, 10, 12):
         for k in range(1, g.n + 1):
-            for run, _, ones in solver._level_columns(g, k, connected=True):
+            for run in solver._level_runs(g.n, k, solver._LEVEL_WIDTH):
+                ones = solver._run_columns(g, run, connected=True)[1]
                 assert ones >> run[3] == 0
                 for j in range(run[3]):
                     m = solver._unrank(g.n, run, j)
@@ -216,8 +217,8 @@ def test_first_hit_budget_edges(stream_setting):
         sizes = {k: len(connected_level(g, k)) for k in range(start, zc + 1)}
         ends, total = set(), 0
         for k in range(start, zc + 1):
-            for _, _, ones in solver._level_columns(g, k, connected=True):
-                total += ones.bit_count()
+            for run in solver._level_runs(g.n, k, solver._LEVEL_WIDTH):
+                total += solver._run_columns(g, run, connected=True)[1].bit_count()
                 ends.add(total)
         for limit in (1, 2, 3, before, before + 1, needed - 1):
             if not 1 <= limit < needed:
@@ -298,34 +299,3 @@ def test_enumerate_budget_bounds_the_whole_call():
     assert info.value.closures == 400110
     whole = 400110 + len(connected_in_components_sets(g, 11))
     assert len(list(enumerate_min_czfs(g, 11, whole))) == 24050
-
-
-def test_connected_drain_matches_solve_report_from_every_start():
-    """The connected phase run alone, from the min-degree bound, from Z or
-    from Z_c, finds solve_report's Z_c, pt_c and PT_c, with its count and
-    witnesses, on every class of order <= 7 and one seeded relabeling of
-    each, disconnected graphs included."""
-    from zeroforcing.graphs import is_connected, relabel
-    from zeroforcing.verify import graph_classes
-
-    rnd = random.Random(18)
-    disconnected = 0
-    for n in range(1, 8):
-        for h in graph_classes(n):
-            perm = list(range(n))
-            rnd.shuffle(perm)
-            disconnected += not is_connected(h)
-            for g in (h, relabel(h, perm)):
-                rep = solve_report(g)
-                for start in (solver._zfs_lower_bound(g), rep.z, rep.z_c):
-                    fields, witnesses = {}, {}
-                    meter = solver._Meter(solver.DEFAULT_BUDGET)
-                    solver._run_phases(g, meter, start, (True,), fields, witnesses)
-                    assert fields == {
-                        "z_c": rep.z_c,
-                        "min_czfs_count": rep.min_czfs_count,
-                        "ptc_min": rep.ptc_min,
-                        "ptc_max": rep.ptc_max,
-                    }
-                    assert witnesses == {k: rep.witnesses[k] for k in ("z_c", "pt_c", "PT_c")}
-    assert disconnected > 0

@@ -119,14 +119,18 @@ def test_row_cache_keeps_quarter_runs_for_every_order(monkeypatch):
     monkeypatch.setattr(solver, "_cached_row", lru_cache(maxsize=1024)(build))
     width = solver._LEVEL_WIDTH
     for n in (20, 21):
-        runs = list(solver._level_columns(new_graph(n, []), 9, connected=False))
+        g = new_graph(n, [])
+        runs = list(solver._level_runs(n, 9, width))
+        for run in runs:
+            solver._run_columns(g, run, connected=False)
         assert len(runs) > 2
     assert built and len(set(built)) == len(built)
     assert all(4 * comb(m, r) <= width for m, r, _ in built)
     cached = [solver._cached_row(*key) for key in built]
     assert max(c.bit_length() for row in cached for c in row) <= width // 4
     again = len(built)
-    list(solver._level_columns(new_graph(21, []), 9, connected=False))
+    for run in solver._level_runs(21, 9, width):
+        solver._run_columns(new_graph(21, []), run, connected=False)
     assert len(built) == again
 
 
@@ -310,8 +314,8 @@ def run_ends(g, rep, width):
     for k, connected in stages:
         if connected and k == rep.z:
             total += rep.min_zfs_count
-        for _, _, ones in solver._level_columns(g, k, connected):
-            total += ones.bit_count()
+        for run in solver._level_runs(g.n, k, width):
+            total += solver._run_columns(g, run, connected)[1].bit_count()
             ends.append(total)
     return ends
 

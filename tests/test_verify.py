@@ -78,31 +78,36 @@ def test_exhaustive_findings_replay():
         assert again.computed == r.computed
 
 
-def test_finding_rows_describe_the_graph_they_checked(monkeypatch):
-    """A finding row's graph is built from its edge code, not parsed from
-    its descriptor; the descriptor must still parse to exactly that graph,
-    and the row must replay."""
+def test_finding_rows_describe_the_graph_they_checked():
+    """A finding row's descriptor is written from its edge code and its
+    computed fields are its class's; the descriptor must parse to a
+    relabeling of a class that violates the row's claim, the rows must
+    list every relabeling of such a class once, and each must replay."""
     from dataclasses import asdict
+    from itertools import permutations
 
     import zeroforcing.verify as verify
+    from zeroforcing.graphs import certificate, relabel
 
-    checked = {}
-    real = verify._check
-
-    def recording(claim, instance, expected, solved=None, g=None):
-        row = real(claim, instance, expected, solved, g)
-        checked[id(row)] = g
-        return row
-
-    monkeypatch.setattr(verify, "_check", recording)
-    rows = [r for r in exhaustive_small_graphs(5) if not r.instance.startswith("all-labeled")]
-    monkeypatch.undo()
-    assert rows
-    for r in rows:
-        g = checked[id(r)]
-        assert g is not None and graph_from_instance(r.instance) == g
+    rows = exhaustive_small_graphs(5)
+    # (claim, certificate of a violating class) -> descriptors of its relabelings
+    orbits = {}
+    for n in range(1, 6):
+        for h in graph_classes(n):
+            for c in verify._violated_claims(verify._Solved(), h):
+                orbit = {graph_to_instance(relabel(h, p)) for p in permutations(range(n))}
+                orbits[(c, certificate(h))] = orbit
+    findings = [r for r in rows if not r.instance.startswith("all-labeled")]
+    assert findings
+    listed = {}
+    for r in findings:
+        g = graph_from_instance(r.instance)
+        assert (r.claim, certificate(g)) in orbits, r.instance
         assert graph_to_instance(g) == r.instance
         assert asdict(replay_claim(r)) == asdict(r)
+        listed.setdefault((r.claim, certificate(g)), set()).add(r.instance)
+    assert listed == orbits
+    assert len({(r.claim, r.instance) for r in findings}) == len(findings)
 
 
 def test_exhaustive_verdicts_relabeling_invariant():
@@ -134,10 +139,13 @@ def test_run_suites_sorted_and_csv():
 
 
 def test_every_row_equals_its_replay_from_scratch():
-    """The per-run table changes no row: each equals a fresh replay."""
+    """The per-run table changes no row: each equals a fresh replay.  An
+    exhaustive finding carries its class's computed fields, so its replay
+    on its own labeled graph also tests that the claims are label
+    invariant, for every finding of order at most 6."""
     from dataclasses import asdict
 
-    for rows in (check_named_parameters(), check_product_bounds(), exhaustive_small_graphs(5)):
+    for rows in (check_named_parameters(), check_product_bounds(), exhaustive_small_graphs(6)):
         for r in rows:
             if not r.instance.startswith("all-labeled"):
                 assert asdict(replay_claim(r)) == asdict(r), r.instance
@@ -145,8 +153,7 @@ def test_every_row_equals_its_replay_from_scratch():
 
 def count_solves(monkeypatch):
     """Record every (graph, search) that verify asks the solver for: a Z or
-    Z_c first hit ("z", "z_c"), a solve report ("report") or a connected
-    drain ("drain")."""
+    Z_c first hit ("z", "z_c") or a solve report ("report")."""
     import zeroforcing.verify as verify
 
     calls = []
@@ -163,8 +170,6 @@ def count_solves(monkeypatch):
     recorder("zero_forcing_number", lambda *a: "z")
     recorder("_first_hit", lambda budget, connected, start: "z_c" if connected else "z")
     recorder("solve_report", lambda *a: "report")
-    # verify runs the connected phase alone; any other phases show as such
-    recorder("_run_phases", lambda m, start, phases, *a: "drain" if phases == (True,) else phases)
     return calls
 
 
@@ -174,22 +179,14 @@ def test_each_graph_parameter_is_solved_once_per_suite_call(monkeypatch):
         calls.clear()
         suite()
         assert calls and len(set(calls)) == len(calls), suite.__name__
-    # the exhaustive suite solves per order n: one report per class
-    # representative serves its four claims, and one connected drain per
-    # other finding graph serves every finding row that lists it
+    # the exhaustive suite asks for one report per class representative, in
+    # class order, and nothing else: its finding rows carry their class's
+    # computed fields
     calls.clear()
     rows = exhaustive_small_graphs(5)
     classes = [g for n in range(1, 6) for g in graph_classes(n)]
-    assert [g for g, key in calls if key == "report"] == classes
-    drained = [g for g, key in calls if key == "drain"]
-    assert len(drained) + len(classes) == len(calls)
-    finding_rows = [r for r in rows if not r.instance.startswith("all-labeled")]
-    findings = {graph_from_instance(r.instance) for r in finding_rows}
-    assert len(finding_rows) > len(findings)
-    # each finding graph is solved: by its own drain, once, or as a class
-    # representative; no class's values stand in for a relabeling
-    assert len(set(drained)) == len(drained)
-    assert set(drained) == findings - set(classes)
+    assert calls == [(g, "report") for g in classes]
+    assert any(not r.instance.startswith("all-labeled") for r in rows)
 
 
 def test_run_suites_keep_no_state_between_calls(monkeypatch):
@@ -239,36 +236,27 @@ def test_table_finds_z_before_z_c(monkeypatch):
     assert solved.value(g, "z") == 7 and len(calls) == 2
 
 
-def test_table_drains_pt_c_from_the_best_bound_held(monkeypatch):
-    """pt_c and PT_c come with Z_c from one connected drain, started at Z_c,
-    else at Z, else at the min-degree bound; a path row runs that drain
-    alone."""
+def test_table_reads_pt_c_from_one_report(monkeypatch):
+    """pt_c or PT_c, asked for first, come with Z and Z_c from one solve
+    report, also after Z and Z_c were found as first hits; a path row
+    checked from scratch asks for that report alone."""
     import zeroforcing.verify as verify
     from zeroforcing.families import star
 
-    g = star(6)  # min degree 1, Z = 4, Z_c = 5
+    g = star(6)  # Z = 4, Z_c = 5, pt_c = PT_c = 1
     calls = count_solves(monkeypatch)
-    drain, starts = verify._run_phases, []
-
-    def record_start(h, meter, start, *args):
-        starts.append(start)
-        return drain(h, meter, start, *args)
-
-    monkeypatch.setattr(verify, "_run_phases", record_start)
-    for known, start in (((), 1), (("z",), 4), (("z", "z_c"), 5)):
+    for known in ((), ("z",), ("z", "z_c")):
         solved = verify._Solved()
         for key in known:
             solved.value(g, key)
         calls.clear()
-        starts.clear()
-        values = [solved.value(g, key) for key in ("PT_c", "pt_c", "z_c", "PT_c")]
-        assert values == [1, 1, 5, 1]
-        assert calls == [(g, "drain")] and starts == [start]
+        values = [solved.value(g, key) for key in ("PT_c", "pt_c", "z_c", "z", "PT_c")]
+        assert values == [1, 1, 5, 4, 1]
+        assert calls == [(g, "report")]
     calls.clear()
-    starts.clear()
     row = verify._check("path/four-equivalence", "star(6)", {})
     assert row.computed == {"n": 6, "z_c": 5, "pt_c": 1, "PT_c": 1, "is_path": False}
-    assert calls == [(g, "drain")] and starts == [1]
+    assert calls == [(g, "report")]
 
 
 def test_exceeded_row_carries_the_meters_bound(monkeypatch):
@@ -296,10 +284,11 @@ def test_exceeded_row_carries_the_meters_bound(monkeypatch):
 
 def test_exhausted_drain_is_a_budget_exceeded_row(monkeypatch):
     """A finding replayed, and a path row checked, under a budget that runs
-    out in the connected drain are budget-exceeded, with the drain meter's
-    closures and lower bound, never a verdict read off an unknown value."""
-    import zeroforcing.solver as solver
+    out in the solve report that serves them are budget-exceeded, with the
+    report's closures and lower bounds, never a verdict read off an unknown
+    value."""
     import zeroforcing.verify as verify
+    from zeroforcing.solver import solve_report
 
     finding = next(
         r for r in exhaustive_small_graphs(5)
@@ -308,9 +297,10 @@ def test_exhausted_drain_is_a_budget_exceeded_row(monkeypatch):
     monkeypatch.setattr(verify, "DEFAULT_BUDGET", 3)
     path_row = verify._check("path/four-equivalence", "cycle(6)", {})
     for row in (replay_claim(finding), path_row):
-        bound = solver._zfs_lower_bound(graph_from_instance(row.instance))
+        rep = solve_report(graph_from_instance(row.instance), 3)
+        assert rep.budget_exceeded and rep.closures == 3 and rep.lower_bounds, row.instance
         assert row.verdict == "budget-exceeded", row.instance
-        assert row.computed == {"closures": 3, "z_c_lower_bound": bound}
+        assert row.computed == {"closures": rep.closures, **rep.lower_bounds}
 
 
 def test_exhausted_class_report_stops_the_suite(monkeypatch):
