@@ -15,8 +15,18 @@ sets, such as every level of a graph on at most 6 vertices, builds no
 columns, since a kernel call costs more than those few sets: it walks the
 run's cached masks, tests each against g's component masks when only
 connected sets count, and closes each kept set with ``forcing._rounds``.
-``_min_level`` is the one level search: value queries stop at its first
-hit, drains read the whole level.  ``_run_phases`` is the one phase loop:
+``_min_level`` is the one level search: first-hit queries stop at its
+first hit, drains read the whole level.
+
+A search from a known lower bound starts where ``_start_level`` says.
+The levels that hold a (connected) zero forcing set are the levels from
+the minimum to n, since every superset of a zero forcing set forces, and
+a connected one grows by a neighbouring vertex into a connected one.  So
+the step takes U, the size of a greedy such set, probes levels U - 1,
+U - 2, ... with first-hit scans, and stops at the first level without a
+hit, whose full scan proves the level above it minimum.  The value query
+``_min_size`` returns that level and scans no level for a witness.
+``_run_phases`` is the one phase loop:
 it runs the Z phase and then, if asked, the connected one, for
 ``solve_report`` and ``propagation_extrema``.
 ``solve_report`` closes level Z once: since Z <= Z_c, its connected phase
@@ -29,6 +39,13 @@ Charging follows the deterministic stream order, and a connected stream
 charges only its connected sets, and the meter keeps the lower bound that
 an exhausted budget reports.  A run is closed before its sets are charged,
 so a search stops within one run of the charge that exhausts its budget.
+The start-level step descends only when the budget left covers every set
+of the levels from the lower bound to U, and g has a level of more than
+``_SCALAR_LEVEL`` sets.  It charges each level below the minimum all of
+its C(n, k) sets, as if closed, and nothing for the greedy bound (at most
+2n closures) and the probes above the minimum.  A covered search cannot
+run out, and a climbing all-sets search charges exactly that, so closures
+and lower bounds are those of climbing from the lower bound.
 Every search runs in the calling process.
 """
 
@@ -278,11 +295,62 @@ def _zfs_lower_bound(g: Graph) -> int:
     return max(1, min(g.degree(v) for v in range(g.n)))
 
 
+def _greedy_set(g: Graph, connected: bool) -> int:
+    """A (connected) zero forcing set: the smaller of the sets left by
+    deleting vertices from V, in descending id and then in descending
+    degree order, while the set still forces and, with ``connected``, stays
+    connected in components.  Without ``connected`` it is inclusion-minimal,
+    since every superset of a zero forcing set forces."""
+    n, adj, full, comps = g.n, g.adj, g.full_mask, components(g)
+    best = full
+    for order in (range(n - 1, -1, -1), sorted(range(n), key=g.degree, reverse=True)):
+        kept = full
+        for v in order:
+            m = kept ^ 1 << v
+            if (not connected or meets_connected(g, comps, m)) and _rounds(adj, full, m)[0] == full:
+                kept = m
+        if kept.bit_count() < best.bit_count():
+            best = kept
+    return best
+
+
+def _start_level(g: Graph, meter: _Meter, start: int, connected: bool) -> tuple[int, bool]:
+    """``(k, exact)``: the level that a search from the lower bound
+    ``start`` begins at, and whether it is the minimum.  Under the covering
+    rule (see the module docstring) it descends from the greedy bound and
+    charges the C(n, j) sets of each level j below the minimum, as a
+    climbing all-sets search does (a connected one charges fewer); else it
+    returns ``(start, False)`` and charges nothing.
+    """
+    n = g.n
+    if comb(n, n // 2) <= _SCALAR_LEVEL:
+        return start, False
+    top = _greedy_set(g, connected).bit_count()
+    if sum(comb(n, j) for j in range(start, top + 1)) > meter.limit - meter.used:
+        return start, False
+    k = top
+    while k > start and any(done[-1] for _, _, done in _level_stream(g, k - 1, connected)):
+        k -= 1
+    meter.charge(sum(comb(n, j) for j in range(start, k)))
+    return k, True
+
+
+def _min_size(g: Graph, budget: int, connected: bool, start: int) -> int:
+    """Smallest level from ``start`` on holding a (connected) zero forcing
+    set.  It raises as ``_first_hit`` does; when the start-level step
+    descends, no level is scanned for a witness."""
+    meter = _Meter(budget)
+    k, exact = _start_level(g, meter, start, connected)
+    return k if exact else next(_min_level(g, meter, k, connected))[0]
+
+
 def _first_hit(g: Graph, budget: int, connected: bool, start: int) -> tuple[int, int]:
     """Smallest level from ``start`` on holding a (connected) zero forcing
-    set, with the first such set in stream order.  Charged through the hit;
-    ``start`` must be at most that level."""
-    k, run, done = next(_min_level(g, _Meter(budget), start, connected))
+    set, with the first such set in stream order.  Charged through the hit,
+    as if climbing from ``start``; ``start`` must be at most that level."""
+    meter = _Meter(budget)
+    k, _ = _start_level(g, meter, start, connected)
+    k, run, done = next(_min_level(g, meter, k, connected))
     return k, _unrank(g.n, run, _lowest(_hits(done)))
 
 
@@ -299,9 +367,11 @@ def connected_zero_forcing_number(g: Graph, budget: int = DEFAULT_BUDGET) -> tup
 
 
 def _enumerate_min(g: Graph, k: int | None, budget: int, connected: bool):
-    """Drain the levels up to the minimum one now, charging one per set in
-    stream order; return an iterator over that level's hits."""
-    found = list(_min_level(g, _Meter(budget), _zfs_lower_bound(g), connected))
+    """Drain the minimum level now, charged one per set in stream order
+    from the lower bound on; return an iterator over that level's hits."""
+    meter = _Meter(budget)
+    start, _ = _start_level(g, meter, _zfs_lower_bound(g), connected)
+    found = list(_min_level(g, meter, start, connected))
     z = found[0][0]
     if k is not None and k != z:
         raise WrongSize(f"minimum {_PHASES[connected][0]} sets have size {z}, not {k}")
@@ -312,8 +382,8 @@ def enumerate_min_zfs(g: Graph, k: int | None = None, budget: int = DEFAULT_BUDG
     """An iterator over every minimum zero forcing set, lexicographic order.
 
     ``k`` must equal the zero forcing number, WrongSize otherwise; None
-    stands for it.  The budget bounds the drain of every level up to k,
-    which runs at the call: BudgetExceeded and WrongSize raise there,
+    stands for it.  The budget is charged as for a drain of every level up
+    to k, which runs at the call: BudgetExceeded and WrongSize raise there,
     before any set is yielded.
     """
     return _enumerate_min(g, k, budget, connected=False)
@@ -464,9 +534,11 @@ _PHASES = (
 def _run_phases(g: Graph, meter: _Meter, connected: bool, fields: dict, witnesses: dict):
     """Run the Z phase and then, with ``connected``, the connected phase
     (see ``_PHASES``), filling ``fields`` and ``witnesses`` as each value
-    becomes known.  The Z phase starts at the min-degree bound; the
-    connected phase on the level where it stopped, since Z <= Z_c."""
-    k, closed = _zfs_lower_bound(g), None
+    becomes known.  The Z phase starts at the start level from the
+    min-degree bound; the connected phase climbs from the level where the
+    Z phase stopped, since Z <= Z_c, charging every connected set it
+    passes."""
+    k, closed = _start_level(g, meter, _zfs_lower_bound(g), False)[0], None
     for phase in (False, True)[: 1 + connected]:
         name, _, value, count_key, (lo, hi), (wk, wlo, whi) = _PHASES[phase]
         # the connected phase starts on the level that the Z phase has just

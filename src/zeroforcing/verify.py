@@ -15,7 +15,7 @@ tested, not assumed.  A suite call solves each distinct graph at most
 once: a per-run table (``_Solved``) holds the values that every claim row
 and expected value reads, by name (Z, Z_c, pt_c, PT_c).  A class
 representative's claims read one solve report, and the named and product
-rows Z and Z_c first hits.
+rows Z and Z_c value queries, which find no witness.
 
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
@@ -36,13 +36,7 @@ from . import families
 from .dsl import parse_graph_dsl
 from .graphs import Graph, GraphError, certificate, is_connected, is_path_graph, new_graph
 from .recognize import min_extremal_spec, recognize_extremal_form
-from .solver import (
-    DEFAULT_BUDGET,
-    BudgetExceeded,
-    _first_hit,
-    solve_report,
-    zero_forcing_number,
-)
+from .solver import DEFAULT_BUDGET, BudgetExceeded, _min_size, _zfs_lower_bound, solve_report
 
 
 @dataclass(frozen=True)
@@ -100,8 +94,9 @@ class _Solved:
 
     - ``solve`` fills all four values of an exhaustive class representative
       from one ``solve_report``;
-    - Z is a first hit, and Z_c a first hit from Z: every connected zero
-      forcing set forces, so Z <= Z_c;
+    - Z is a value query (``solver._min_size``) from the min-degree bound,
+      and Z_c one from Z: every connected zero forcing set forces, so
+      Z <= Z_c.  Neither needs a witness;
     - pt_c and PT_c, which only rows checked from scratch ask the table
       for, come with Z and Z_c from ``solve``.
 
@@ -134,9 +129,9 @@ class _Solved:
         known = self._values.setdefault(g, {})
         if key not in known:
             if key == "z":
-                known[key] = zero_forcing_number(g, DEFAULT_BUDGET)[0]
+                known[key] = _min_size(g, DEFAULT_BUDGET, False, _zfs_lower_bound(g))
             elif key == "z_c":
-                known[key] = _first_hit(g, DEFAULT_BUDGET, True, self.value(g, "z"))[0]
+                known[key] = _min_size(g, DEFAULT_BUDGET, True, self.value(g, "z"))
             else:
                 self.solve(g)
         return self._values[g][key]

@@ -156,13 +156,20 @@ def test_matches_per_set_reference(stream_setting):
 def test_connected_phase_reuses_level_z(stream_setting, monkeypatch):
     """solve_report closes no set of level Z in its connected phase: it
     masks the Z phase's bitmaps.  So when Z_c = Z the connected phase closes
-    nothing, and the report still matches the per-set references."""
+    nothing, and the report still matches the per-set references.  The
+    greedy bound of the Z phase's start-level step closes sets before any
+    stream, at most 2n of them; its calls are tagged apart."""
     calls, where = [], [None]
     level_stream, batch_rounds, rounds = solver._level_stream, solver._batch_rounds, solver._rounds
+    greedy_set = solver._greedy_set
 
     def tagged_stream(g, k, connected=False, *rest):
         where[0] = (k, connected)
         yield from level_stream(g, k, connected, *rest)
+
+    def tagged_bound(g, connected):
+        where[0] = ("bound", connected)
+        return greedy_set(g, connected)
 
     def counted(kernel):
         def call(*args):
@@ -173,12 +180,18 @@ def test_connected_phase_reuses_level_z(stream_setting, monkeypatch):
     monkeypatch.setattr(solver, "_level_stream", tagged_stream)
     monkeypatch.setattr(solver, "_batch_rounds", counted(batch_rounds))
     monkeypatch.setattr(solver, "_rounds", counted(rounds))
+    monkeypatch.setattr(solver, "_greedy_set", tagged_bound)
     equal = set()
     for g in sample_graphs(13, 12, 4, 11):
         z, zhits, zbefore, zlevel = reference_z(g)
         zc, hits, before, level = reference_zc(g, z)
         calls.clear()
+        where[0] = None
         rep = solve_report(g)
+        assert None not in calls
+        bound = [c for c in calls if c[0] == "bound"]
+        calls[:] = [c for c in calls if c[0] != "bound"]
+        assert set(bound) <= {("bound", False)} and len(bound) <= 2 * g.n
         assert calls and (z, True) not in calls
         if zc == z:
             assert not [k for k, connected in calls if connected]

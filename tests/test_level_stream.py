@@ -203,6 +203,9 @@ def test_matches_naive_oracle(stream_setting):
             z, len(sets), min(pts), max(pts),
         )
         assert sorted(enumerate_min_zfs(g, z)) == sorted(mask_of(s) for s in sets)
+        # the oracle tests combinations in order, so its first hit is the
+        # lexicographically least witness
+        assert zero_forcing_number(g) == (z, mask_of(sets[0]))
 
 
 def test_first_hit_budget_edges(stream_setting):
@@ -358,48 +361,118 @@ def test_wide_runs_match_narrow_runs(name, monkeypatch):
 
 
 def kernel_log(monkeypatch):
-    """Log every ``_batch_rounds`` call ("close", sets) and every charge
-    ("charge", count), in the order they happen."""
-    log = []
+    """Log every ``_batch_rounds`` call ("close", level, sets) and every
+    charge ("charge", level, count), in the order they happen; level is the
+    (k, connected) of the level stream entered last.  Each start-level
+    step is bracketed by ("step", start, None) and ("stepped", k, exact).
+    Setting ``log.climb`` makes every step climb from its lower bound, as
+    the search did before it could descend."""
+    log, where = StepLog(), [None]
     batch_rounds, charge = solver._batch_rounds, solver._Meter.charge
+    level_stream, start_level = solver._level_stream, solver._start_level
+
+    def stream(g, k, connected=False, *rest):
+        where[0] = (k, connected)
+        yield from level_stream(g, k, connected, *rest)
 
     def close(nbrs, cols, ones):
-        log.append(("close", ones.bit_count()))
+        log.append(("close", where[0], ones.bit_count()))
         return batch_rounds(nbrs, cols, ones)
 
     def charged(meter, count):
-        log.append(("charge", count))
+        log.append(("charge", where[0], count))
         charge(meter, count)
 
+    def step(g, meter, start, connected):
+        log.append(("step", start, None))
+        k, exact = (start, False) if log.climb else start_level(g, meter, start, connected)
+        log.append(("stepped", k, exact))
+        return k, exact
+
+    monkeypatch.setattr(solver, "_level_stream", stream)
     monkeypatch.setattr(solver, "_batch_rounds", close)
     monkeypatch.setattr(solver._Meter, "charge", charged)
+    monkeypatch.setattr(solver, "_start_level", step)
     return log
 
 
+class StepLog(list):
+    climb = False
+
+    def split(self):
+        """(entries outside any step, [(start, k, exact, entries inside)])."""
+        outside, steps, inside = [], [], None
+        for kind, a, b in self:
+            if kind == "step":
+                start, inside = a, []
+            elif kind == "stepped":
+                steps.append((start, a, b, inside))
+                inside = None
+            else:
+                (outside if inside is None else inside).append((kind, a, b))
+        return outside, steps
+
+
+def covering_threshold(g):
+    """The least budget under which solve_report's Z phase descends: every
+    set of the levels from the min-degree bound to the greedy bound."""
+    top = solver._greedy_set(g, False).bit_count()
+    return sum(comb(g.n, j) for j in range(solver._zfs_lower_bound(g), top + 1))
+
+
 def check_stops_within_one_run(g, log, samples):
-    """Under a sweep of budgets, solve_report makes the ``_batch_rounds``
-    calls of the unbounded search up to the charge that exhausts the budget
-    and none after it; each call's run is charged before the next call."""
+    """Under a sweep of budgets, solve_report gives the report of the search
+    that climbs from the min-degree bound, closures and lower bounds
+    included.  The climbing search makes the ``_batch_rounds`` calls of its
+    unbounded run up to the charge that exhausts the budget and none after
+    it, each call's run charged before the next call.  The descending search
+    makes the same calls and charges, except that its start-level step
+    replaces those of the levels below the level it returns by one charge of
+    as many sets.  The step closes sets only under a budget that covers it,
+    and fewer than that budget: the kernel closes at most one run of sets
+    beyond what is charged, apart from the covered probes."""
+    log.climb = True
     log.clear()
     solve_report(g)
-    full = log[:]
-    assert all(full[i + 1][0] == "charge" for i, (kind, _) in enumerate(full) if kind == "close")
-    # budgets equal to the charge total at each kernel call, and one more
+    full, _ = log.split()
+    assert all(full[i + 1][0] == "charge" for i, (kind, *_) in enumerate(full) if kind == "close")
+    # budgets equal to the charge total at each kernel call, and one more,
+    # plus the covering threshold of the descent and one less
     spent, starts = 0, set()
-    for kind, count in full:
+    for kind, _, count in full:
         if kind == "charge":
             spent += count
         else:
             starts.update((spent, spent + 1))
-    for limit in sorted(random.Random(g.n).sample(sorted(starts), min(samples, len(starts)))):
+    picked = random.Random(g.n).sample(sorted(starts), min(samples, len(starts)))
+    threshold = covering_threshold(g)
+    descended = 0
+    for limit in sorted(picked + [threshold - 1, threshold]):
+        log.climb = True
         log.clear()
-        solve_report(g, limit)
+        climbed = solve_report(g, limit).to_json_dict()
+        reference, _ = log.split()
         spent = end = 0
-        while spent <= limit:
-            kind, count = full[end]
+        while end < len(full) and spent <= limit:
+            kind, _, count = full[end]
             spent += count if kind == "charge" else 0
             end += 1
-        assert log == full[:end]
+        assert reference == full[:end]
+        log.climb = False
+        log.clear()
+        assert solve_report(g, limit).to_json_dict() == climbed
+        outside, [(start, k, exact, inside)] = log.split()
+        skipped = {(j, False) for j in range(start, k)}
+        assert outside == [e for e in reference if e[1] not in skipped]
+        assert exact == (limit >= threshold) and comb(g.n, g.n // 2) > solver._SCALAR_LEVEL
+        if exact:
+            descended += 1
+            charged = sum(c for kind, level, c in reference if kind == "charge" and level in skipped)
+            assert [e for e in inside if e[0] == "charge"] == [("charge", inside[-1][1], charged)]
+            assert sum(c for kind, _, c in inside if kind == "close") < limit
+        else:
+            assert inside == []
+    assert descended
 
 
 def test_budget_stops_within_one_run(stream_setting, monkeypatch):

@@ -153,7 +153,7 @@ def test_every_row_equals_its_replay_from_scratch():
 
 def count_solves(monkeypatch):
     """Record every (graph, search) that verify asks the solver for: a Z or
-    Z_c first hit ("z", "z_c") or a solve report ("report")."""
+    Z_c value query ("z", "z_c") or a solve report ("report")."""
     import zeroforcing.verify as verify
 
     calls = []
@@ -167,8 +167,7 @@ def count_solves(monkeypatch):
 
         monkeypatch.setattr(verify, name, wrapped)
 
-    recorder("zero_forcing_number", lambda *a: "z")
-    recorder("_first_hit", lambda budget, connected, start: "z_c" if connected else "z")
+    recorder("_min_size", lambda budget, connected, start: "z_c" if connected else "z")
     recorder("solve_report", lambda *a: "report")
     return calls
 
@@ -193,6 +192,7 @@ def test_run_suites_keep_no_state_between_calls(monkeypatch):
     calls = count_solves(monkeypatch)
     first = run_suites("all", nmax=4)
     solved_first = list(calls)
+    assert {key for _, key in solved_first} == {"z", "z_c", "report"}
     calls.clear()
     second = run_suites("all", nmax=4)
     assert second == first
@@ -201,12 +201,17 @@ def test_run_suites_keep_no_state_between_calls(monkeypatch):
 
 
 def record_starts(monkeypatch):
-    """Record the start level of every search that verify runs through
-    ``_first_hit``, i.e. every Z_c search."""
+    """Record the start level of every Z_c value query that verify runs."""
     import zeroforcing.verify as verify
 
-    first_hit, starts = verify._first_hit, []
-    monkeypatch.setattr(verify, "_first_hit", lambda *a: starts.append(a[3]) or first_hit(*a))
+    min_size, starts = verify._min_size, []
+
+    def recorded(g, budget, connected, start):
+        if connected:
+            starts.append(start)
+        return min_size(g, budget, connected, start)
+
+    monkeypatch.setattr(verify, "_min_size", recorded)
     return starts
 
 
@@ -268,15 +273,18 @@ def test_exceeded_row_carries_the_meters_bound(monkeypatch):
     inst = "strong(cycle(6),path(4))"
     g = graph_from_instance(inst)
 
-    monkeypatch.setattr(
-        verify, "zero_forcing_number", lambda h, budget: solver.zero_forcing_number(h, 10)
-    )
+    def tight(kind):
+        """The value query, with a budget of 10 for the ``kind`` searches."""
+        return lambda h, budget, connected, start: solver._min_size(
+            h, 10 if connected == kind else budget, connected, start
+        )
+
+    monkeypatch.setattr(verify, "_min_size", tight(False))
     row = verify._check("product/strong-cycle-path", inst, {"bound": 12})
     assert row.verdict == "budget-exceeded"
     assert row.computed == {"closures": 10, "z_lower_bound": solver._zfs_lower_bound(g)}
     # Z is found, then Z_c's search runs out on level Z, its first
-    monkeypatch.undo()
-    monkeypatch.setattr(verify, "_first_hit", lambda h, budget, *a: solver._first_hit(h, 10, *a))
+    monkeypatch.setattr(verify, "_min_size", tight(True))
     row = verify._check("product/strong-cycle-path", inst, {"bound": 12})
     assert row.verdict == "budget-exceeded"
     assert row.computed == {"closures": 10, "z_c_lower_bound": 12}
