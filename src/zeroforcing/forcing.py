@@ -1,16 +1,17 @@
-"""The color-change rule: one-round forces, closures, and round traces.
+"""The color-change rule: closures, propagation times and round traces.
 
 A black vertex with exactly one white neighbor forces that neighbor black.
-``_round_forces`` lists one round's forces for the traces; ``_rounds`` runs
-simultaneous rounds on one coloring to its (unique) fixpoint, and
-``_batch_rounds`` on many colorings at once, bit-sliced.
+Two loops run the rule in simultaneous rounds: ``_rounds`` on one coloring
+to its (unique) fixpoint, and ``_batch_rounds`` on many colorings at once,
+bit-sliced.  Traces name each round's forcers from ``_rounds``' record of
+the vertices it turned black.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EndpointOutOfRange, Graph, is_connected_in_components, vertices_of
+from .graphs import EndpointOutOfRange, Graph, is_connected_in_components, iter_vertices, mask_of
 
 
 class NotForcing(ValueError):
@@ -22,23 +23,10 @@ def _check_mask(g: Graph, mask: int):
         raise EndpointOutOfRange("vertex set mentions ids outside the graph")
 
 
-def _round_forces(adj, black: int):
-    """All forces available against ``black`` simultaneously, forcer-ascending."""
-    out = []
-    todo = black
-    while todo:
-        ubit = todo & -todo
-        todo ^= ubit
-        u = ubit.bit_length() - 1
-        white = adj[u] & ~black
-        if white and not white & (white - 1):
-            out.append((u, white.bit_length() - 1))
-    return out
-
-
-def _rounds(adj, full: int, black: int) -> tuple[int, int]:
+def _rounds(adj, full: int, black: int, added=None) -> tuple[int, int]:
     """``(fixpoint, rounds)`` of simultaneous rounds from ``black``; the
-    rounds are the propagation time when the fixpoint is ``full``."""
+    rounds are the propagation time when the fixpoint is ``full``.  A list
+    ``added`` gets each round's mask of newly black vertices appended."""
     rounds = 0
     todo = black
     while black != full:
@@ -54,6 +42,8 @@ def _rounds(adj, full: int, black: int) -> tuple[int, int]:
             break
         black |= add
         rounds += 1
+        if added is not None:
+            added.append(add)
         # only a vertex whose closed neighborhood just changed can force next
         todo = (add | near) & black
     return black, rounds
@@ -131,8 +121,7 @@ def is_zfs(g: Graph, black: int) -> bool:
 
 def is_czfs(g: Graph, black: int) -> bool:
     """True iff ``black`` is a zero forcing set that is connected in components."""
-    _check_mask(g, black)
-    # is_zfs(g, 0) is False, so the empty set never reaches the second test
+    # is_zfs checks the mask, and is_zfs(g, 0) is False: the empty set stops there
     return is_zfs(g, black) and is_connected_in_components(g, black)
 
 
@@ -153,21 +142,15 @@ class ForcingTrace:
 
     def forced_masks(self) -> list[int]:
         """Mask of newly forced vertices per round."""
-        out = []
-        for rnd in self.rounds:
-            m = 0
-            for _, v in rnd:
-                m |= 1 << v
-            out.append(m)
-        return out
+        return [mask_of(v for _, v in rnd) for rnd in self.rounds]
 
     def to_json_dict(self) -> dict:
         return {
-            "initial": list(vertices_of(self.initial)),
+            "initial": list(iter_vertices(self.initial)),
             "rounds": [
                 [{"forcer": u, "forced": v} for u, v in rnd] for rnd in self.rounds
             ],
-            "final": list(vertices_of(self.final)),
+            "final": list(iter_vertices(self.final)),
             "pt": self.pt,
         }
 
@@ -177,21 +160,19 @@ def propagation_trace(g: Graph, black: int) -> ForcingTrace:
     _check_mask(g, black)
     adj = g.adj
     initial = black
+    added: list[int] = []
+    final = _rounds(adj, g.full_mask, black, added)[0]
     rounds = []
-    while True:
-        forces = _round_forces(adj, black)
-        if not forces:
-            break
-        # forcer-ascending, so the first forcer of v is the smallest
-        chosen: dict[int, int] = {}
-        for u, v in forces:
-            chosen.setdefault(v, u)
-        rnd = tuple((chosen[v], v) for v in sorted(chosen))
-        rounds.append(rnd)
-        for _, v in rnd:
-            black |= 1 << v
-    pt = len(rounds) if black == g.full_mask else None
-    return ForcingTrace(initial, tuple(rounds), black, pt)
+    for add in added:
+        rnd = []
+        for v in iter_vertices(add):
+            # the smallest black neighbor whose one white neighbor is v
+            u = next(u for u in iter_vertices(adj[v] & black) if adj[u] & ~black == 1 << v)
+            rnd.append((u, v))
+        rounds.append(tuple(rnd))
+        black |= add
+    pt = len(rounds) if final == g.full_mask else None
+    return ForcingTrace(initial, tuple(rounds), final, pt)
 
 
 def propagation_time(g: Graph, black: int) -> int:

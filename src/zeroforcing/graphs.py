@@ -70,12 +70,7 @@ def iter_vertices(mask: int):
 
 def vertices_of(mask: int) -> tuple[int, ...]:
     """Sorted tuple of vertex ids in a bitset mask."""
-    out = []
-    while mask:
-        b = mask & -mask
-        out.append(b.bit_length() - 1)
-        mask ^= b
-    return tuple(out)
+    return tuple(iter_vertices(mask))
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,8 @@ class Graph:
     """Simple undirected graph on vertices ``0..n-1``.
 
     ``adj[v]`` is the bitset of the open neighborhood N(v).  Instances are
-    immutable and safe to share between workers.  ``labels`` are optional
-    display strings and do not participate in equality.
+    immutable.  ``labels`` are optional display strings and do not
+    participate in equality.
     """
 
     n: int
@@ -185,13 +180,6 @@ def components(g: Graph) -> list[int]:
 
 def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
-
-
-def induces_connected(g: Graph, s: int) -> bool:
-    """True iff the subgraph induced on nonempty mask ``s`` is connected."""
-    if not s:
-        raise EmptySet("connectivity of the empty set is undefined")
-    return _reach(g, s & -s, s) == s
 
 
 def is_connected_in_components(g: Graph, s: int) -> bool:

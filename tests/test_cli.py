@@ -412,23 +412,23 @@ def test_readme_examples_run(capsys, monkeypatch, argv):
 
 
 @pytest.mark.parametrize("suite", ["named", "products", "exhaustive"])
-def test_streamed_verify_document_is_one_dump(capsys, tmp_path, monkeypatch, suite):
-    """Encoding the rows block by block gives the bytes of one json.dumps
-    of the whole array, on stdout and through --out, whatever the block
-    size: blocks of 1 and 7 rows put block edges inside every suite."""
+def test_streamed_verify_document_is_one_dump(capsys, tmp_path, suite):
+    """Writing the rows one at a time gives the bytes of one json.dumps of
+    the whole array, on stdout and through --out; the writer yields one
+    chunk per row between the opening and the closing chunk."""
     from zeroforcing.verify import run_suites
 
     flags = ["verify", "--suite", suite, "--nmax", "4"]
     rows = run_suites(suite=suite, nmax=4)
     expected = json.dumps([r.to_json_dict() for r in rows], indent=2) + "\n"
-    assert len(rows) > 7 and len(rows) % 7
-    for block in (1, 7, cli._BLOCK_ROWS):
-        monkeypatch.setattr(cli, "_BLOCK_ROWS", block)
-        code, out, _ = run_cli(capsys, *flags)
-        assert code == 0 and out == expected
-        path = tmp_path / f"{suite}-{block}.json"
-        assert main([*flags, "--out", str(path)]) == 0
-        assert path.read_text() == expected
+    chunks = list(cli._json_rows(rows))
+    assert len(rows) > 1 and len(chunks) == len(rows) + 2
+    assert "".join(chunks) == expected
+    code, out, _ = run_cli(capsys, *flags)
+    assert code == 0 and out == expected
+    path = tmp_path / f"{suite}.json"
+    assert main([*flags, "--out", str(path)]) == 0
+    assert path.read_text() == expected
 
 
 def test_json_rows_of_no_rows_is_an_empty_array():

@@ -142,6 +142,25 @@ def test_trace_replays(gm):
 
 
 @given(graphs_with_sets())
+def test_trace_rounds_match_oracle(gm):
+    """Each traced round is the oracle's round from the same coloring, with
+    the smallest forcer kept per forced vertex; after the last round no
+    force is left."""
+    g, b = gm
+    trace = propagation_trace(g, b)
+    black = b
+    for rnd in trace.rounds:
+        first = {}
+        for u, v in forces_one_round(g, black):
+            first.setdefault(v, u)
+        assert rnd == tuple((first[v], v) for v in sorted(first))
+        for _, v in rnd:
+            black |= 1 << v
+    assert forces_one_round(g, black) == []
+    assert black == trace.final
+
+
+@given(graphs_with_sets())
 def test_round_count_bounds(gm):
     g, b = gm
     trace = propagation_trace(g, b)
