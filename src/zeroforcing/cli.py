@@ -20,7 +20,7 @@ from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
 
-from .dsl import ParseError, parse_graph_dsl
+from .dsl import FAMILIES, ParseError, parse_graph_dsl
 from .forcing import propagation_trace
 from .graphs import Graph, GraphError, ascii_int, parse_edge_list, vertices_of
 from .graphs import is_connected_in_components
@@ -50,24 +50,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise SettingError(f"{self.prog}: {message}")
-
-
-_FAMILY_HELP = [
-    ("path(n)", "vertices 0..n-1 in path order (n >= 1)"),
-    ("cycle(n)", "cyclic order 0..n-1, closing (n-1, 0) (n >= 3)"),
-    ("complete(n)", "K_n (n >= 1)"),
-    ("star(n)", "order n, vertex 0 is the center (n >= 2)"),
-    ("wheel(n)", "order n, vertex 0 is the hub, 1..n-1 the rim (n >= 4)"),
-    ("supertriangle(n)", "triangular grid, rows of 1..n vertices, row-major ids"),
-    ("multipartite(s1,s2,...)", "complete multipartite, parts in consecutive blocks"),
-    ("cartesian(A,B)", "Cartesian product, (u,v) -> u*|B|+v"),
-    ("strong(A,B)", "strong product, (u,v) -> u*|B|+v"),
-    ("corona(A,B)", "A's ids first, then one copy of B per vertex of A"),
-    ("gencorona(A;B1,B2,...)", "per-vertex attachments, blocks in order"),
-    ("pc(n1,...,nk)", "path v1..v_{k+2} (ids 0..k+1) plus k cycles; fresh u ids follow"),
-    ("pc(...)[chords:c@j,...]", "extra edge u^c_j to v_{c+1} on cycle c"),
-    ("vsum(A,v,B,w)", "identify vertex v of A with vertex w of B; A keeps its ids"),
-]
 
 
 def _dumps(obj, newline: str = "\n") -> str:
@@ -264,15 +246,12 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_families(args) -> int:
+    rows = [row for _, _, help_rows in FAMILIES.values() for row in help_rows]
     if args.format == "json":
-        _emit(
-            _json_text([{"form": f, "labeling": d} for f, d in _FAMILY_HELP]),
-            args.out,
-        )
+        _emit(_json_text([{"form": f, "labeling": d} for f, d in rows]), args.out)
     else:
-        width = max(len(f) for f, _ in _FAMILY_HELP)
-        lines = [f"{f.ljust(width)}  {d}" for f, d in _FAMILY_HELP]
-        _emit("\n".join(lines) + "\n", args.out)
+        width = max(len(f) for f, _ in rows)
+        _emit("".join(f"{f.ljust(width)}  {d}\n" for f, d in rows), args.out)
     return EXIT_OK
 
 

@@ -11,16 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import EndpointOutOfRange, Graph, is_connected_in_components, iter_vertices, mask_of
+from .graphs import Graph, check_mask, is_connected_in_components, iter_vertices, mask_of
 
 
 class NotForcing(ValueError):
     """The given set does not force the whole graph."""
-
-
-def _check_mask(g: Graph, mask: int):
-    if mask & ~g.full_mask:
-        raise EndpointOutOfRange("vertex set mentions ids outside the graph")
 
 
 def _rounds(adj, full: int, black: int, added=None) -> tuple[int, int]:
@@ -109,13 +104,13 @@ def _batch_rounds(nbrs, cols: list[int], ones: int) -> list[int]:
 
 def derived_coloring(g: Graph, black: int) -> int:
     """The unique fixpoint der(B) reached from the mask ``black``."""
-    _check_mask(g, black)
+    check_mask(g, black)
     return _rounds(g.adj, g.full_mask, black)[0]
 
 
 def is_zfs(g: Graph, black: int) -> bool:
     """True iff ``black`` is a zero forcing set of g."""
-    _check_mask(g, black)
+    check_mask(g, black)
     return _rounds(g.adj, g.full_mask, black)[0] == g.full_mask
 
 
@@ -157,7 +152,7 @@ class ForcingTrace:
 
 def propagation_trace(g: Graph, black: int) -> ForcingTrace:
     """Simultaneous-round propagation from ``black`` until fixpoint."""
-    _check_mask(g, black)
+    check_mask(g, black)
     adj = g.adj
     initial = black
     added: list[int] = []
@@ -177,7 +172,7 @@ def propagation_trace(g: Graph, black: int) -> ForcingTrace:
 
 def propagation_time(g: Graph, black: int) -> int:
     """Rounds needed for the zero forcing set ``black`` to cover g."""
-    _check_mask(g, black)
+    check_mask(g, black)
     black, rounds = _rounds(g.adj, g.full_mask, black)
     if black != g.full_mask:
         raise NotForcing("the set does not force the whole graph")
@@ -193,6 +188,8 @@ def replay_trace(g: Graph, trace: ForcingTrace) -> bool:
     for rnd in trace.rounds:
         add = 0
         for u, v in rnd:
+            if not (0 <= u < g.n and 0 <= v < g.n):
+                return False
             if not black >> u & 1 or black >> v & 1:
                 return False
             white = g.adj[u] & ~black

@@ -182,11 +182,18 @@ def is_connected(g: Graph) -> bool:
     return len(components(g)) == 1
 
 
+def check_mask(g: Graph, mask: int):
+    """Raise EndpointOutOfRange unless ``mask`` holds only ids of ``g``."""
+    if mask & ~g.full_mask:
+        raise EndpointOutOfRange("vertex set mentions ids outside the graph")
+
+
 def is_connected_in_components(g: Graph, s: int) -> bool:
     """True iff ``s`` meets every component it touches in a connected set.
 
     Components with empty intersection do not veto.
     """
+    check_mask(g, s)
     if not s:
         raise EmptySet("the empty set is not connected in components")
     return meets_connected(g, components(g), s)
@@ -248,6 +255,7 @@ def induced_subgraph(g: Graph, s: int) -> tuple[Graph, list[int]]:
 
     Returns the new graph and the list mapping new ids to old ids.
     """
+    check_mask(g, s)
     if not s:
         raise EmptySet("cannot induce on the empty set")
     old = list(iter_vertices(s))

@@ -1,5 +1,7 @@
+import inspect
 import io
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -10,8 +12,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import zeroforcing.cli as cli
+import zeroforcing.dsl as dsl
 import zeroforcing.solver as solver
 from zeroforcing.cli import main
+from zeroforcing.dsl import ParseError, parse_graph_dsl
 from zeroforcing.graphs import vertices_of
 
 
@@ -238,6 +242,45 @@ def test_families_listing(capsys):
     assert code == 0 and "pc(n1,...,nk)" in out
     code, out, _ = run_cli(capsys, "families", "--format", "json")
     assert code == 0 and isinstance(json.loads(out), list)
+
+
+# a sample term for each form that `zf families` lists, in its order
+_FORM_SAMPLES = {
+    "path(n)": "path(3)",
+    "cycle(n)": "cycle(4)",
+    "complete(n)": "complete(3)",
+    "star(n)": "star(4)",
+    "wheel(n)": "wheel(4)",
+    "supertriangle(n)": "supertriangle(3)",
+    "multipartite(s1,s2,...)": "multipartite(1,2,3)",
+    "cartesian(A,B)": "cartesian(path(2),cycle(3))",
+    "strong(A,B)": "strong(path(2),cycle(3))",
+    "corona(A,B)": "corona(cycle(3),path(2))",
+    "gencorona(A;B1,B2,...)": "gencorona(path(2);path(1),path(2))",
+    "pc(n1,...,nk)": "pc(1,0,2)",
+    "pc(...)[chords:c@j,...]": "pc(2,1)[chords:1@1,2@1]",
+    "vsum(A,v,B,w)": "vsum(path(2),1,cycle(3),0)",
+}
+
+
+def test_families_listing_matches_the_parser(capsys):
+    """Every listed form parses, and every family the parser accepts is listed."""
+    code, out, _ = run_cli(capsys, "families", "--format", "json")
+    forms = [row["form"] for row in json.loads(out)]
+    assert code == 0 and forms == list(_FORM_SAMPLES)
+    for sample in _FORM_SAMPLES.values():
+        assert parse_graph_dsl(sample).n > 0
+    listed = {form.split("(")[0] for form in forms}
+    # a family name the parser accepts appears as a word in its source
+    words = set(re.findall(r"[a-z]+", inspect.getsource(dsl).lower()))
+    accepted = set()
+    for word in words | listed:
+        try:
+            parse_graph_dsl(word + "(")
+        except ParseError as exc:
+            if not str(exc).startswith("unknown family"):
+                accepted.add(word)
+    assert accepted == listed
 
 
 def test_module_entry_point():

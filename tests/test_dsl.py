@@ -1,8 +1,10 @@
+import sys
+
 import pytest
 
 from zeroforcing.dsl import ParseError, parse_graph_dsl, spec_to_dsl
 from zeroforcing.families import PCSpec, corona, cycle, path, pc_graph
-from zeroforcing.graphs import are_isomorphic
+from zeroforcing.graphs import CapacityExceeded, are_isomorphic
 
 
 def test_simple_terms():
@@ -67,3 +69,78 @@ def test_semantic_errors_propagate():
         parse_graph_dsl("pc(2)[chords:1@5]")
     with pytest.raises(OrderTooSmall):
         parse_graph_dsl("cycle(2)")
+
+
+# each term with the exact graph (n, adj, labels) it builds
+_PINNED_GRAPHS = [
+    ("path(3)", (3, (2, 5, 2), None)),
+    ("cycle(4)", (4, (10, 5, 10, 5), None)),
+    ("complete(3)", (3, (6, 5, 3), None)),
+    ("star(4)", (4, (14, 1, 1, 1), None)),
+    ("wheel(4)", (4, (14, 13, 11, 7), None)),
+    ("supertriangle(2)", (3, (6, 5, 3), None)),
+    ("multipartite(1,2)", (3, (6, 1, 1), None)),
+    ("cartesian(path(2),path(2))", (4, (6, 9, 9, 6), ("0,0", "0,1", "1,0", "1,1"))),
+    ("strong(path(2),path(2))", (4, (14, 13, 11, 7), ("0,0", "0,1", "1,0", "1,1"))),
+    ("corona(path(2),path(1))", (4, (6, 9, 1, 2), None)),
+    ("gencorona(path(2);path(1),complete(2))", (5, (6, 25, 1, 18, 10), None)),
+    ("pc(1,0)", (5, (18, 13, 26, 6, 5), ("v1", "v2", "v3", "v4", "u1.1"))),
+    ("pc(2)[chords:1@1]", (5, (18, 13, 10, 22, 9), ("v1", "v2", "v3", "u1.1", "u1.2"))),
+    ("vsum(path(2),1,path(2),0)", (3, (2, 5, 2), None)),
+    (" \tPATH ( 3 ) \n", (3, (2, 5, 2), None)),
+    ("Corona(Path(2),PATH(1))", (4, (6, 9, 1, 2), None)),
+    (
+        "pc( 2 , 1 ) [ Chords : 1 @ 1 , 2@1 ]",
+        (7, (34, 85, 90, 68, 38, 17, 14), ("v1", "v2", "v3", "v4", "u1.1", "u1.2", "u2.1")),
+    ),
+    # 200 levels below the top term is the deepest that parses
+    ("vsum(" * 200 + "path(1)" + ",0,path(1),0)" * 200, (1, (0,), None)),
+]
+
+# each term with the exact str() of the ParseError it raises
+_PINNED_ERRORS = [
+    ("", "expected a family name (at position 0)"),
+    ("frob(3)", "unknown family 'frob' (at position 0)"),
+    ("corona(path(2);path(2))", "expected ',' (at position 14)"),
+    ("gencorona(path(2),path(1))", "expected ';' (at position 17)"),
+    ("multipartite(1;2)", "expected ')' (at position 14)"),
+    ("path(3)junk", "trailing input (at position 7)"),
+    ("path(²)", "expected an integer (at position 5)"),
+    ("path(٣)", "expected an integer (at position 5)"),
+    ("vsum(path(2),x,path(2),0)", "expected an integer (at position 13)"),
+    ("pc(1)[chord:1@1]", "expected 'chords' (at position 11)"),
+    ("pc(1)[chords 1@1]", "expected ':' (at position 13)"),
+    ("pc(1)[chords:1]", "expected '@' (at position 14)"),
+    ("pc(1)[chords:1@]", "expected an integer (at position 15)"),
+    ("pc(1)[chords:2@1]", "no cycle 2 (at position 16)"),
+    ("pc(1)[chords:0@1]", "no cycle 0 (at position 16)"),
+    ("pc(1)[chords:1@1", "expected ']' (at position 16)"),
+    ("pc(1)[]", "expected a family name (at position 6)"),
+    ("path(3)[chords:1@1]", "trailing input (at position 7)"),
+    ("vsum(" * 201 + "path(1)" + ",0,path(1),0)" * 201, "terms nest deeper than 200 (at position 1005)"),
+]
+
+
+@pytest.mark.parametrize("text, expected", _PINNED_GRAPHS, ids=lambda x: repr(x)[:40])
+def test_pinned_graphs(text, expected):
+    g = parse_graph_dsl(text)
+    assert (g.n, g.adj, g.labels) == expected
+
+
+@pytest.mark.parametrize("text, message", _PINNED_ERRORS, ids=lambda x: repr(x)[:40])
+def test_pinned_parse_errors(text, message):
+    with pytest.raises(ParseError) as info:
+        parse_graph_dsl(text)
+    assert str(info.value) == message
+
+
+def test_overlong_integer():
+    text = "path(" + "9" * 5000 + ")"
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if 0 < limit < 5000:
+        with pytest.raises(ParseError) as info:
+            parse_graph_dsl(text)
+        assert str(info.value) == "integer too long (at position 5)"
+    else:  # an interpreter without a digit limit reads it, and path refuses the order
+        with pytest.raises(CapacityExceeded):
+            parse_graph_dsl(text)

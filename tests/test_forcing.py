@@ -9,6 +9,7 @@ from naive_oracle import closure as naive_closure
 from naive_oracle import derived_coloring_sequential, forces_one_round, neighbor_sets
 from zeroforcing.families import complete, cycle, path, star, supertriangle
 from zeroforcing.forcing import (
+    ForcingTrace,
     NotForcing,
     _batch_rounds,
     _rounds,
@@ -96,6 +97,13 @@ def test_trace_without_forcing_set():
     assert trace.pt is None
     assert trace.final != cycle(8).full_mask
     assert replay_trace(cycle(8), trace)
+
+
+def test_replay_rejects_ids_outside_the_graph():
+    g = path(3)
+    for forces in [((-1, 1),), ((1, -1),), ((0, 3),), ((3, 0),)]:
+        assert not replay_trace(g, ForcingTrace(1, (forces,), 7, 2))
+    assert replay_trace(g, ForcingTrace(1, (((0, 1),), ((1, 2),)), 7, 2))
 
 
 def test_propagation_time():

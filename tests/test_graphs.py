@@ -82,6 +82,15 @@ def test_induced_subgraph():
         induced_subgraph(cycle(4), 0)
 
 
+def test_mask_outside_the_graph():
+    """Both helpers refuse a mask with ids outside 0..n-1, a negative one included."""
+    for mask in (0b1000, 0b1101, 0b1001, -1):
+        with pytest.raises(EndpointOutOfRange):
+            is_connected_in_components(path(3), mask)
+        with pytest.raises(EndpointOutOfRange):
+            induced_subgraph(path(3), mask)
+
+
 def test_is_path_graph():
     assert is_path_graph(path(6))
     assert not is_path_graph(cycle(6))
