@@ -15,7 +15,9 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 from contextlib import nullcontext
+from dataclasses import replace
 from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
 from pathlib import Path
@@ -83,8 +85,15 @@ def _dumps_dict(obj, newline: str) -> str:
     return "{" + inner + ("," + inner).join(parts) + newline + "}" if parts else "{}"
 
 
+class _Slot:
+    """Stands for a row's own instance in the text its group shares.  It is
+    written as a raw NUL, which no written value holds: every string is
+    written escaped to ASCII."""
+
+
 # writer by exact type: a subclass, such as a str subclass, goes to json.dumps
 _WRITERS = {
+    _Slot: lambda _, __: "\0",
     str: lambda text, _: _encode_str(text),
     int: lambda number, _: int.__repr__(number),
     bool: lambda flag, _: "true" if flag else "false",
@@ -106,14 +115,36 @@ def _emit(text, out_path: str | None):
 
 
 def _json_rows(rows):
-    """``_json_text`` of the rows' JSON dicts, written one row at a time."""
+    """``_json_text`` of the rows' JSON dicts, written one row at a time.
+
+    Rows that differ only in ``instance`` share one encoding: their
+    group's row is written once with a ``_Slot`` for the instance, and each
+    row puts its own encoded instance into every slot.  A group compares
+    ``expected`` by its encoding and ``computed`` by identity, as the
+    exhaustive suite's findings share their class's dict.  A group's first
+    row is written directly and its second builds the shared text, so a
+    row alone in its group leaves no text behind.
+    """
     if not rows:
         yield _json_text([])
         return
+    # only rows that share their computed dict can share a text
+    sharing = Counter(id(row.computed) for row in rows)
+    shared = {}
     yield "[\n  "
     sep = ""
     for row in rows:
-        yield sep + _dumps(row.to_json_dict(), "\n  ")
+        computed, text = id(row.computed), None
+        if sharing[computed] > 1:
+            key = row.claim, row.relation, _dumps(row.expected), computed, row.verdict, row.hard
+            if key in shared:
+                if shared[key] is None:
+                    slotted = replace(row, instance=_Slot()).to_json_dict()
+                    shared[key] = _dumps(slotted, "\n  ").split("\0")
+                text = _dumps(row.instance).join(shared[key])
+            else:
+                shared[key] = None
+        yield sep + (text or _dumps(row.to_json_dict(), "\n  "))
         sep = ",\n  "
     yield "\n]\n"
 

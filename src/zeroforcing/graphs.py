@@ -61,7 +61,10 @@ def mask_of(vertices) -> int:
 
 
 def iter_vertices(mask: int):
-    """Yield vertex ids of a mask in increasing order."""
+    """Yield vertex ids of a mask in increasing order; EndpointOutOfRange
+    for a negative mask, which holds every id from some point on."""
+    if mask < 0:
+        raise EndpointOutOfRange(f"negative mask {mask} holds ids outside every graph")
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1

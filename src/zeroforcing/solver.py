@@ -24,7 +24,8 @@ the minimum to n, since every superset of a zero forcing set forces, and
 a connected one grows by a neighbouring vertex into a connected one.  So
 the step takes U, the size of a greedy such set, probes levels U - 1,
 U - 2, ... with first-hit scans, and stops at the first level without a
-hit, whose full scan proves the level above it minimum.  The value query
+hit, whose full scan proves the level above it minimum.  A search of that
+level resumes its probe's stream, so no run is closed twice.  The value query
 ``_min_size`` returns that level and scans no level for a witness.
 ``_run_phases`` is the one phase loop:
 it runs the Z phase and then, if asked, the connected one, for
@@ -53,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from math import comb
 
 from .forcing import _batch_rounds, _rounds
@@ -314,25 +316,39 @@ def _greedy_set(g: Graph, connected: bool) -> int:
     return best
 
 
-def _start_level(g: Graph, meter: _Meter, start: int, connected: bool) -> tuple[int, bool]:
-    """``(k, exact)``: the level that a search from the lower bound
-    ``start`` begins at, and whether it is the minimum.  Under the covering
-    rule (see the module docstring) it descends from the greedy bound and
-    charges the C(n, j) sets of each level j below the minimum, as a
-    climbing all-sets search does (a connected one charges fewer); else it
-    returns ``(start, False)`` and charges nothing.
+def _probe(g: Graph, k: int, connected: bool):
+    """Level k's ``_level_stream`` if the level holds a (connected) zero
+    forcing set, else None.  The runs through the first hit are closed
+    here and replayed first; the rest of the stream is still open."""
+    stream = _level_stream(g, k, connected)
+    closed = []
+    for item in stream:
+        closed.append(item)
+        if item[2][-1]:
+            return chain(closed, stream)
+    return None
+
+
+def _start_level(g: Graph, meter: _Meter, start: int, connected: bool):
+    """``(k, exact, stream)``: the level that a search from the lower bound
+    ``start`` begins at, whether it is the minimum, and the stream of level
+    k that the last probe left (see ``_probe``), or None.  Under the
+    covering rule (see the module docstring) it descends from the greedy
+    bound and charges the C(n, j) sets of each level j below the minimum,
+    as a climbing all-sets search does (a connected one charges fewer);
+    else it returns ``(start, False, None)`` and charges nothing.
     """
     n = g.n
     if comb(n, n // 2) <= _SCALAR_LEVEL:
-        return start, False
+        return start, False, None
     top = _greedy_set(g, connected).bit_count()
     if sum(comb(n, j) for j in range(start, top + 1)) > meter.limit - meter.used:
-        return start, False
-    k = top
-    while k > start and any(done[-1] for _, _, done in _level_stream(g, k - 1, connected)):
-        k -= 1
+        return start, False, None
+    k, stream = top, None
+    while k > start and (probe := _probe(g, k - 1, connected)):
+        k, stream = k - 1, probe
     meter.charge(sum(comb(n, j) for j in range(start, k)))
-    return k, True
+    return k, True, stream
 
 
 def _min_size(g: Graph, budget: int, connected: bool, start: int) -> int:
@@ -340,7 +356,7 @@ def _min_size(g: Graph, budget: int, connected: bool, start: int) -> int:
     set.  It raises as ``_first_hit`` does; when the start-level step
     descends, no level is scanned for a witness."""
     meter = _Meter(budget)
-    k, exact = _start_level(g, meter, start, connected)
+    k, exact, _ = _start_level(g, meter, start, connected)
     return k if exact else next(_min_level(g, meter, k, connected))[0]
 
 
@@ -349,8 +365,8 @@ def _first_hit(g: Graph, budget: int, connected: bool, start: int) -> tuple[int,
     set, with the first such set in stream order.  Charged through the hit,
     as if climbing from ``start``; ``start`` must be at most that level."""
     meter = _Meter(budget)
-    k, _ = _start_level(g, meter, start, connected)
-    k, run, done = next(_min_level(g, meter, k, connected))
+    k, _, stream = _start_level(g, meter, start, connected)
+    k, run, done = next(_min_level(g, meter, k, connected, stream))
     return k, _unrank(g.n, run, _lowest(_hits(done)))
 
 
@@ -370,8 +386,8 @@ def _enumerate_min(g: Graph, k: int | None, budget: int, connected: bool):
     """Drain the minimum level now, charged one per set in stream order
     from the lower bound on; return an iterator over that level's hits."""
     meter = _Meter(budget)
-    start, _ = _start_level(g, meter, _zfs_lower_bound(g), connected)
-    found = list(_min_level(g, meter, start, connected))
+    start, _, stream = _start_level(g, meter, _zfs_lower_bound(g), connected)
+    found = list(_min_level(g, meter, start, connected, stream))
     z = found[0][0]
     if k is not None and k != z:
         raise WrongSize(f"minimum {_PHASES[connected][0]} sets have size {z}, not {k}")
@@ -470,20 +486,22 @@ class SolveReport:
         }
 
 
-def _min_level(g: Graph, meter: _Meter, start: int, connected: bool, closed=None):
+def _min_level(g: Graph, meter: _Meter, start: int, connected: bool, stream=None):
     """Yield ``(k, run, done)`` for each run holding a (connected) zero
     forcing set, on the first level k from ``start`` on that has one.
 
     Charges one per set in the stream: a run's sets through its first hit
     before the run is yielded, the rest when the caller resumes.  Each
-    level's k goes on the meter as a lower bound.  ``closed``, if given,
-    holds the bitmaps of level ``start`` (see ``_level_stream``).
+    level's k goes on the meter as a lower bound.  ``stream``, if given,
+    is the ``_level_stream`` of level ``start``, some of it already closed.
     """
     name, key = _PHASES[connected][:2]
     for k in range(start, g.n + 1):
         meter.note, meter.bound = f"{name} sets of size {k}", {key: k}
         hit = False
-        for run, ones, done in _level_stream(g, k, connected, closed):
+        if stream is None:
+            stream = _level_stream(g, k, connected)
+        for run, ones, done in stream:
             if not done[-1]:
                 meter.charge(ones.bit_count())
                 continue
@@ -494,7 +512,7 @@ def _min_level(g: Graph, meter: _Meter, start: int, connected: bool, closed=None
             meter.charge((ones ^ through).bit_count())
         if hit:
             return
-        closed = None
+        stream = None
     raise AssertionError("the full vertex set always forces")
 
 
@@ -538,14 +556,14 @@ def _run_phases(g: Graph, meter: _Meter, connected: bool, fields: dict, witnesse
     min-degree bound; the connected phase climbs from the level where the
     Z phase stopped, since Z <= Z_c, charging every connected set it
     passes."""
-    k, closed = _start_level(g, meter, _zfs_lower_bound(g), False)[0], None
+    k, _, stream = _start_level(g, meter, _zfs_lower_bound(g), False)
     for phase in (False, True)[: 1 + connected]:
         name, _, value, count_key, (lo, hi), (wk, wlo, whi) = _PHASES[phase]
+        found = list(_min_level(g, meter, k, phase, stream))
+        k = found[0][0]
         # the connected phase starts on the level that the Z phase has just
         # closed, and reuses its bitmaps
-        found = list(_min_level(g, meter, k, phase, closed))
-        k = found[0][0]
-        closed = {run: done for _, run, done in found}
+        stream = _level_stream(g, k, True, {run: done for _, run, done in found})
         count, witness, (tmin, wmin), (tmax, wmax) = _level_summary(g.n, found)
         fields[value], fields[count_key], witnesses[wk] = k, count, witness
         # pt of every minimum set came with its closure; charge one each.

@@ -34,7 +34,8 @@ from itertools import combinations, permutations
 
 from . import families
 from .dsl import parse_graph_dsl
-from .graphs import Graph, GraphError, certificate, is_connected, is_path_graph, new_graph
+from .graphs import Graph, GraphError, certificate, is_connected, is_path_graph, iter_vertices
+from .graphs import new_graph
 from .recognize import min_extremal_spec, recognize_extremal_form
 from .solver import DEFAULT_BUDGET, BudgetExceeded, _min_size, _zfs_lower_bound, solve_report
 
@@ -482,7 +483,7 @@ def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
             verdict = "violated" if found else "holds"
             out.append(ClaimResult(c, f"all-labeled(n={n})", relation, {}, summary, verdict, hard))
             for code in sorted(found):
-                inst = f"edges:n={n};" + ",".join(w for i, w in enumerate(words) if code >> i & 1)
+                inst = f"edges:n={n};" + ",".join(words[i] for i in iter_vertices(code))
                 out.append(ClaimResult(c, inst, relation, {}, found[code], "violated", hard))
     return out
 

@@ -5,6 +5,7 @@ import re
 import shlex
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import zeroforcing.solver as solver
 from zeroforcing.cli import main
 from zeroforcing.dsl import ParseError, parse_graph_dsl
 from zeroforcing.graphs import vertices_of
+from zeroforcing.verify import ClaimResult
 
 
 def run_cli(capsys, *argv):
@@ -151,9 +153,9 @@ def test_enumerate_runs_one_value_query(capsys, monkeypatch):
     calls = []
     min_level = solver._min_level
 
-    def counted(g, meter, start, connected, closed=None):
+    def counted(g, meter, start, connected, stream=None):
         calls.append(connected)
-        return min_level(g, meter, start, connected, closed)
+        return min_level(g, meter, start, connected, stream)
 
     monkeypatch.setattr(solver, "_min_level", counted)
     monkeypatch.setattr(solver, "_first_hit", None)
@@ -454,18 +456,22 @@ def test_readme_examples_run(capsys, monkeypatch, argv):
     assert out
 
 
-@pytest.mark.parametrize("suite", ["named", "products", "exhaustive"])
+@pytest.mark.parametrize("suite", ["named", "products", "exhaustive", "all"])
 def test_streamed_verify_document_is_one_dump(capsys, tmp_path, suite):
     """Writing the rows one at a time gives the bytes of one json.dumps of
     the whole array, on stdout and through --out; the writer yields one
-    chunk per row between the opening and the closing chunk."""
+    chunk per row between the opening and the closing chunk.  At order 5
+    the exhaustive suite has findings that share their class's fields, so
+    the shared encoding is written too."""
     from zeroforcing.verify import run_suites
 
-    flags = ["verify", "--suite", suite, "--nmax", "4"]
-    rows = run_suites(suite=suite, nmax=4)
+    flags = ["verify", "--suite", suite, "--nmax", "5"]
+    rows = run_suites(suite=suite, nmax=5)
     expected = json.dumps([r.to_json_dict() for r in rows], indent=2) + "\n"
     chunks = list(cli._json_rows(rows))
     assert len(rows) > 1 and len(chunks) == len(rows) + 2
+    shared = Counter(id(r.computed) for r in rows if r.verdict == "violated")
+    assert (suite in ("exhaustive", "all")) == (max(shared.values(), default=0) > 1)
     assert "".join(chunks) == expected
     code, out, _ = run_cli(capsys, *flags)
     assert code == 0 and out == expected
@@ -491,6 +497,49 @@ json_values = st.recursive(
 @given(json_values)
 def test_writer_matches_json_dumps_indent_2(obj):
     assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
+
+
+# instances that need escapes, and the raw NUL that stands for a row's instance
+row_texts = st.text(max_size=8) | st.sampled_from(["\"", "\\", "\u00e9", "\x00", "a\x00\"\\\u00e9"])
+json_dicts = st.dictionaries(st.text(max_size=6) | st.just("\x00"), json_values, max_size=3)
+
+
+# a base row's fields, and another value for each
+ROW_FIELDS = {
+    "claim": ("a", "b\x00"),
+    "relation": ("=", "iff"),
+    "verdict": ("violated", "holds"),
+    "hard": (True, False),
+}
+
+
+@st.composite
+def claim_rows(draw):
+    """Rows that each take the base fields, or change one of them, so that
+    many differ only in instance; ``computed`` and ``expected`` are shared
+    objects or equal copies, and some values hold the raw NUL."""
+    computed = draw(st.lists(json_dicts | st.just({"x": "\x00"}), min_size=1, max_size=3))
+    expected = draw(st.lists(json_dicts, min_size=2, max_size=3, unique_by=json.dumps))
+    rows = []
+    for _ in range(draw(st.integers(0, 16))):
+        fields = {name: values[0] for name, values in ROW_FIELDS.items()}
+        changed = draw(st.sampled_from([None, *ROW_FIELDS]))
+        if changed:
+            fields[changed] = ROW_FIELDS[changed][1]
+        c, e = draw(st.sampled_from(computed)), draw(st.sampled_from(expected))
+        rows.append(ClaimResult(
+            instance=draw(row_texts),
+            expected=dict(e) if draw(st.booleans()) else e,
+            computed=dict(c) if draw(st.booleans()) else c,
+            **fields,
+        ))
+    return rows
+
+
+@given(claim_rows())
+def test_json_rows_match_json_dumps_indent_2(rows):
+    expected = json.dumps([r.to_json_dict() for r in rows], indent=2) + "\n"
+    assert "".join(cli._json_rows(rows)) == expected
 
 
 @pytest.mark.parametrize(

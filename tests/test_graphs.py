@@ -1,4 +1,5 @@
 import random
+from itertools import islice
 
 import pytest
 from hypothesis import given
@@ -18,6 +19,7 @@ from zeroforcing.graphs import (
     induced_subgraph,
     is_connected_in_components,
     is_path_graph,
+    iter_vertices,
     mask_of,
     new_graph,
     parse_edge_list,
@@ -89,6 +91,16 @@ def test_mask_outside_the_graph():
             is_connected_in_components(path(3), mask)
         with pytest.raises(EndpointOutOfRange):
             induced_subgraph(path(3), mask)
+
+
+@pytest.mark.parametrize("mask", [-1, -2, -(1 << 70), -0b1011])
+def test_negative_mask_has_no_vertex_set(mask):
+    """A negative mask holds every id from some point on, so both helpers
+    raise where the bit walk never ended; at most 200 ids are asked for."""
+    with pytest.raises(EndpointOutOfRange):
+        list(islice(iter_vertices(mask), 200))
+    with pytest.raises(EndpointOutOfRange):
+        vertices_of(mask)
 
 
 def test_is_path_graph():

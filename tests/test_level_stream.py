@@ -362,32 +362,44 @@ def test_wide_runs_match_narrow_runs(name, monkeypatch):
 
 def kernel_log(monkeypatch):
     """Log every ``_batch_rounds`` call ("close", level, sets) and every
-    charge ("charge", level, count), in the order they happen; level is the
-    (k, connected) of the level stream entered last.  Each start-level
-    step is bracketed by ("step", start, None) and ("stepped", k, exact).
-    Setting ``log.climb`` makes every step climb from its lower bound, as
-    the search did before it could descend."""
+    charge ("charge", level, count), in the order they happen.  A close's
+    level is the (k, connected) of the level stream it runs in; a charge's
+    is the (k, connected) of the meter's lower bound, or None.  Each
+    start-level step is bracketed by ("step", start, None) and ("stepped",
+    k, exact).  Setting ``log.climb`` makes every step climb from its lower
+    bound, as the search did before it could descend."""
     log, where = StepLog(), [None]
     batch_rounds, charge = solver._batch_rounds, solver._Meter.charge
     level_stream, start_level = solver._level_stream, solver._start_level
+    connected_key = solver._PHASES[True][1]
 
     def stream(g, k, connected=False, *rest):
-        where[0] = (k, connected)
-        yield from level_stream(g, k, connected, *rest)
+        # a probe's stream may be resumed after another level's has run
+        inner = level_stream(g, k, connected, *rest)
+        while True:
+            where[0] = (k, connected)
+            item = next(inner, None)
+            if item is None:
+                return
+            yield item
 
     def close(nbrs, cols, ones):
         log.append(("close", where[0], ones.bit_count()))
         return batch_rounds(nbrs, cols, ones)
 
     def charged(meter, count):
-        log.append(("charge", where[0], count))
+        level = next(((k, key == connected_key) for key, k in meter.bound.items()), None)
+        log.append(("charge", level, count))
         charge(meter, count)
 
     def step(g, meter, start, connected):
         log.append(("step", start, None))
-        k, exact = (start, False) if log.climb else start_level(g, meter, start, connected)
+        if log.climb:
+            k, exact, probed = start, False, None
+        else:
+            k, exact, probed = start_level(g, meter, start, connected)
         log.append(("stepped", k, exact))
-        return k, exact
+        return k, exact, probed
 
     monkeypatch.setattr(solver, "_level_stream", stream)
     monkeypatch.setattr(solver, "_batch_rounds", close)
@@ -428,9 +440,11 @@ def check_stops_within_one_run(g, log, samples):
     it, each call's run charged before the next call.  The descending search
     makes the same calls and charges, except that its start-level step
     replaces those of the levels below the level it returns by one charge of
-    as many sets.  The step closes sets only under a budget that covers it,
-    and fewer than that budget: the kernel closes at most one run of sets
-    beyond what is charged, apart from the covered probes."""
+    as many sets, and the runs of the level it returns that its last probe
+    closed, through the first hit, are not closed again.  The step closes
+    sets only under a budget that covers it, and fewer than that budget:
+    the kernel closes at most one run of sets beyond what is charged, apart
+    from the covered probes."""
     log.climb = True
     log.clear()
     solve_report(g)
@@ -446,7 +460,7 @@ def check_stops_within_one_run(g, log, samples):
             starts.update((spent, spent + 1))
     picked = random.Random(g.n).sample(sorted(starts), min(samples, len(starts)))
     threshold = covering_threshold(g)
-    descended = 0
+    descended = resumed = 0
     for limit in sorted(picked + [threshold - 1, threshold]):
         log.climb = True
         log.clear()
@@ -463,7 +477,13 @@ def check_stops_within_one_run(g, log, samples):
         assert solve_report(g, limit).to_json_dict() == climbed
         outside, [(start, k, exact, inside)] = log.split()
         skipped = {(j, False) for j in range(start, k)}
-        assert outside == [e for e in reference if e[1] not in skipped]
+        # the probe's closes of level k are the first closes of the climb there
+        probed = [e for e in inside if e[:2] == ("close", (k, False))]
+        kept = [e for e in reference if e[1] not in skipped]
+        first = [i for i, e in enumerate(kept) if e[:2] == ("close", (k, False))][: len(probed)]
+        assert probed == [kept[i] for i in first]
+        assert outside == [e for i, e in enumerate(kept) if i not in first]
+        resumed += bool(probed)
         assert exact == (limit >= threshold) and comb(g.n, g.n // 2) > solver._SCALAR_LEVEL
         if exact:
             descended += 1
@@ -473,15 +493,24 @@ def check_stops_within_one_run(g, log, samples):
         else:
             assert inside == []
     assert descended
+    return resumed
 
 
 def test_budget_stops_within_one_run(stream_setting, monkeypatch):
     """Runs close their sets before those are charged, so a search may
-    close uncharged sets past its budget, but at most one run of them."""
+    close uncharged sets past its budget, but at most one run of them.  On
+    the two G(n, 0.3) graphs the greedy bound exceeds Z, so the drain of
+    level Z resumes the stream that its probe left; the log shows that
+    wherever the kernel closes runs."""
     log = kernel_log(monkeypatch)
     rnd = random.Random(31)
     for _ in range(3):
         check_stops_within_one_run(random_graph(rnd, rnd.randint(9, 11)), log, 10)
+    width, scalar = stream_setting
+    for seed, n in ((10, 11), (25, 12)):
+        g = gnp(seed, n, 0.3)
+        assert solver._greedy_set(g, False).bit_count() > zero_forcing_number(g)[0]
+        assert check_stops_within_one_run(g, log, 10) or scalar >= width
 
 
 def test_budget_stops_within_one_wide_run(monkeypatch):

@@ -134,3 +134,41 @@ def test_greedy_bound_is_a_forcing_set():
         plain, conn = solver._greedy_set(g, False), solver._greedy_set(g, True)
         assert is_zfs(g, plain) and is_czfs(g, conn)
         assert not any(is_zfs(g, plain ^ 1 << v) for v in range(g.n) if plain >> v & 1)
+
+
+@pytest.mark.parametrize("width", [solver._LEVEL_WIDTH, 256])
+def test_each_run_is_closed_once(width, monkeypatch):
+    """On a graph whose greedy bound exceeds Z, the last probe of the
+    start-level step closes level Z's runs through its first hit, and the
+    drain of level Z resumes that stream: every query sends each run of
+    each kind of stream through the kernel at most once, level Z's included."""
+    g = gnp(random.Random(8), 16, 0.3)
+    z = solver.zero_forcing_number(g)[0]
+    assert solver._greedy_set(g, False).bit_count() > z
+    monkeypatch.setattr(solver, "_LEVEL_WIDTH", width)
+    calls, where = {}, [None]
+    run_columns, batch_rounds = solver._run_columns, solver._batch_rounds
+
+    def columns(g, run, connected):
+        where[0] = run, connected
+        return run_columns(g, run, connected)
+
+    def close(nbrs, cols, ones):
+        calls[where[0]] = calls.get(where[0], 0) + 1
+        return batch_rounds(nbrs, cols, ones)
+
+    monkeypatch.setattr(solver, "_run_columns", columns)
+    monkeypatch.setattr(solver, "_batch_rounds", close)
+    queries = (
+        solver.zero_forcing_number,
+        solver.connected_zero_forcing_number,
+        lambda g: list(solver.enumerate_min_zfs(g)),
+        lambda g: list(solver.enumerate_min_czfs(g)),
+        solver.propagation_extrema,
+        solver.solve_report,
+    )
+    for query in queries:
+        calls.clear()
+        query(g)
+        assert any(run[0].bit_count() + run[2] == z for run, _ in calls)
+        assert max(calls.values()) == 1
