@@ -346,7 +346,8 @@ def _greatest_code(adj, cells: list[int], queue: list[int]) -> int:
     if i is None:
         n = len(cells)
         order = [c.bit_length() - 1 for c in cells]
-        bit = [0] * n
+        # the cells may cover one component of a larger graph
+        bit = [0] * len(adj)
         for p, v in enumerate(order):
             bit[v] = 1 << p
         code = 0
@@ -367,6 +368,13 @@ def _greatest_code(adj, cells: list[int], queue: list[int]) -> int:
     return best
 
 
+def connected_certificate(adj, comp: int) -> tuple:
+    """Certificate of the component ``comp`` (a vertex mask) of the graph
+    with adjacency rows ``adj``, computed in place: ``(|comp|, code)``, the
+    same as the certificate of the induced subgraph relabeled in id order."""
+    return comp.bit_count(), _greatest_code(adj, [comp], [comp])
+
+
 def certificate(g: Graph) -> tuple:
     """Isomorphism certificate: two graphs get equal certificates iff they
     are isomorphic.
@@ -376,12 +384,12 @@ def certificate(g: Graph) -> tuple:
     "Practical graph isomorphism, II", 2014) that branches on the first
     non-singleton cell of an equitable partition, on one vertex per twin
     class (N(u) - {v} = N(v) - {u}).  A disconnected graph gets the sorted
-    certificates of its components.
+    certificates of its components, each searched on ``g``'s own adjacency.
     """
     comps = components(g)
     if len(comps) > 1:
-        return tuple(sorted(certificate(induced_subgraph(g, c)[0]) for c in comps))
-    return g.n, _greatest_code(g.adj, [g.full_mask], [g.full_mask])
+        return tuple(sorted(connected_certificate(g.adj, c) for c in comps))
+    return connected_certificate(g.adj, g.full_mask)
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

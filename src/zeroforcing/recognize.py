@@ -12,7 +12,8 @@ k > 1 (vacuous when the first cycle is a triangle).
 Recognition is one catalog lookup for every graph, connected or not: every
 shape spec of the graph's order and edge count, and the disconnected case,
 is built once into a catalog keyed by degree sequence, then by isomorphism
-certificate.
+certificate.  One lookup answers both the maximum-time and the minimum-time
+question, and takes the graph's certificate from a caller that has it.
 """
 
 from __future__ import annotations
@@ -125,12 +126,16 @@ def _catalog(n: int, m: int) -> dict:
     return catalog
 
 
-def _lookup(g: Graph) -> tuple[ExtremalForm, bool]:
-    """Catalog entry of ``g``, ``(NOT_EXTREMAL form, True)`` if none."""
+def _lookup(g: Graph, cert: tuple | None = None) -> tuple[ExtremalForm, PCSpec | None]:
+    """``g``'s maximum-time form and minimum-time spec from its catalog
+    entry, ``(NOT_EXTREMAL form, None)`` if it has none.  ``cert`` is
+    ``g``'s certificate when the caller already has it; otherwise it is
+    searched for only if ``g``'s degree sequence is in the catalog."""
     if g.n > RECOGNIZER_LIMIT:
         raise TooLarge(f"recognition limited to {RECOGNIZER_LIMIT} vertices")
     shapes = _catalog(g.n, g.edge_count()).get(g.degree_sequence())
-    return shapes.get(certificate(g), _ABSENT) if shapes else _ABSENT
+    form, fails = shapes.get(cert or certificate(g), _ABSENT) if shapes else _ABSENT
+    return form, None if fails else form.spec
 
 
 def recognize_extremal_form(g: Graph) -> ExtremalForm:
@@ -146,5 +151,4 @@ def min_extremal_spec(g: Graph) -> PCSpec | None:
     them: both end vertices of the first u-run joined to v_2 when written
     with one cycle, the v_1-side end joined to v_2 when written with more.
     """
-    form, fails = _lookup(g)
-    return None if fails else form.spec
+    return _lookup(g)[1]

@@ -6,16 +6,20 @@ suite, on the largest order.  ``zf verify`` is the command-line front end;
 its ``--format csv`` prints the per-claim verdict counts.
 
 The exhaustive claims read isomorphism invariants only, so they are
-evaluated once per isomorphism class, found by one-vertex augmentation and
-deduped by certificate (``graph_classes``); the findings are the
-relabelings of each violating class, and each carries its class's
-computed fields under its own ``edges:`` descriptor.  ``replay_claim``
-recomputes a finding from its own labeled graph, so label invariance is
-tested, not assumed.  A suite call solves each distinct graph at most
-once: a per-run table (``_Solved``) holds the values that every claim row
-and expected value reads, by name (Z, Z_c, pt_c, PT_c).  A class
-representative's claims read one solve report, and the named and product
-rows Z and Z_c value queries, which find no witness.
+evaluated once per isomorphism class (``graph_classes``): the connected
+classes come from augmentation, deduped by certificate, and the
+disconnected ones are built as unions of connected ones.  Each class
+carries its certificate, which the extremal-shape recognizer reads instead
+of searching again.  The findings are the relabelings of each violating
+class, and each carries its class's computed fields under its own
+``edges:`` descriptor.
+``replay_claim`` recomputes a finding from its own labeled graph, so label
+invariance is tested, not assumed.  A suite call solves each distinct graph
+at most once: a per-run table (``_Solved``) holds the values that every
+claim row and expected value reads, by name (Z, Z_c, pt_c, PT_c and the
+recognizer's entry).  A class representative's claims read one solve
+report and one recognizer lookup, and the named and product rows Z and Z_c
+value queries, which find no witness.
 
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
@@ -30,13 +34,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import combinations, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from . import families
 from .dsl import parse_graph_dsl
-from .graphs import Graph, GraphError, certificate, is_connected, is_path_graph, iter_vertices
-from .graphs import new_graph
-from .recognize import min_extremal_spec, recognize_extremal_form
+from .graphs import Graph, GraphError, certificate, components, connected_certificate
+from .graphs import is_connected, is_path_graph, iter_vertices, mask_of, new_graph
+from .recognize import _lookup
 from .solver import DEFAULT_BUDGET, BudgetExceeded, _min_size, _zfs_lower_bound, solve_report
 
 
@@ -89,17 +93,20 @@ def graph_to_instance(g: Graph) -> str:
 
 class _Solved:
     """The values that claim rows read, by name: Z ("z"), Z_c ("z_c"), pt_c
-    ("pt_c") and PT_c ("PT_c"), of the graphs one suite call checks, with
-    each graph's descriptors parsed once.  Each kind of row fills the table
-    from its own search, at most once per graph and search:
+    ("pt_c"), PT_c ("PT_c") and the extremal-shape recognizer's entry
+    ("shape"), of the graphs one suite call checks, with each graph's
+    descriptors parsed once.  Each kind of row fills the table from its own
+    search, at most once per graph and search:
 
-    - ``solve`` fills all four values of an exhaustive class representative
-      from one ``solve_report``;
+    - ``solve`` fills all four numbers of an exhaustive class representative
+      from one ``solve_report``, next to its certificate ("certificate");
     - Z is a value query (``solver._min_size``) from the min-degree bound,
       and Z_c one from Z: every connected zero forcing set forces, so
       Z <= Z_c.  Neither needs a witness;
     - pt_c and PT_c, which only rows checked from scratch ask the table
-      for, come with Z and Z_c from ``solve``.
+      for, come with Z and Z_c from ``solve``;
+    - both extremal-shape claims read one ``recognize._lookup``, which
+      takes the graph's certificate from the table if it is there.
 
     The table stores no unknown value: a search that runs out raises
     ``BudgetExceeded``.  The caller owns the table and drops it with the
@@ -116,16 +123,18 @@ class _Solved:
             g = self._graphs[instance] = graph_from_instance(instance)
         return g
 
-    def solve(self, g: Graph):
-        """Fill all four values of g from one ``solve_report``; raise its
+    def solve(self, g: Graph, **known):
+        """Fill all four numbers of g from one ``solve_report``, next to the
+        values in ``known`` that the caller already has; raise the report's
         closures and lower bounds as ``BudgetExceeded`` if it ran out."""
         rep = solve_report(g, DEFAULT_BUDGET)
         if rep.budget_exceeded:
             message = f"budget of {DEFAULT_BUDGET} closure evaluations exhausted"
             raise BudgetExceeded(message, rep.closures, rep.lower_bounds)
-        self._values[g] = {"z": rep.z, "z_c": rep.z_c, "pt_c": rep.ptc_min, "PT_c": rep.ptc_max}
+        numbers = {"z": rep.z, "z_c": rep.z_c, "pt_c": rep.ptc_min, "PT_c": rep.ptc_max}
+        self._values[g] = {**known, **numbers}
 
-    def value(self, g: Graph, key: str) -> int:
+    def value(self, g: Graph, key: str):
         """The value named ``key`` of g, searched for on first use."""
         known = self._values.setdefault(g, {})
         if key not in known:
@@ -133,6 +142,8 @@ class _Solved:
                 known[key] = _min_size(g, DEFAULT_BUDGET, False, _zfs_lower_bound(g))
             elif key == "z_c":
                 known[key] = _min_size(g, DEFAULT_BUDGET, True, self.value(g, "z"))
+            elif key == "shape":
+                known[key] = _lookup(g, known.get("certificate"))
             else:
                 self.solve(g)
         return self._values[g][key]
@@ -151,7 +162,7 @@ def _path_equivalence(g: Graph, value) -> dict:
 
 
 def _max_shape(g: Graph, value) -> dict:
-    form = recognize_extremal_form(g)
+    form = value("shape")[0]
     return {
         "n": g.n,
         "PT_c": value("PT_c"),
@@ -164,7 +175,7 @@ def _min_shape(g: Graph, value) -> dict:
     return {
         "n": g.n,
         "pt_c": value("pt_c"),
-        "accepted": min_extremal_spec(g) is not None,
+        "accepted": value("shape")[1] is not None,
     }
 
 
@@ -407,25 +418,62 @@ def _gencorona_claim(solved: _Solved, base: str, parts) -> tuple[str, int]:
 
 
 @lru_cache(maxsize=None)
-def graph_classes(n: int) -> tuple[Graph, ...]:
-    """One graph per isomorphism class of order n.
+def _connected_classes(n: int) -> tuple[tuple[tuple, Graph], ...]:
+    """(certificate, representative) of each connected class of order n.
 
-    Deleting a vertex of greatest degree from a graph of order n leaves one
-    of order n - 1, so every class arises from a class of order n - 1 by
-    adding a vertex of greatest degree; the candidates are deduped by
-    certificate.
+    Deleting a vertex of greatest degree from a connected graph of order n
+    leaves a graph of order n - 1, connected or not, so every connected
+    class arises from a class of order n - 1 by adding a vertex of greatest
+    degree with a neighbor in every component.  The new degree d is greatest
+    iff it exceeds the class's top degree, or equals it and the new vertex
+    misses every vertex of top degree.  Candidates are certified on their
+    adjacency rows; only a new class becomes a ``Graph``.
     """
     if n == 1:
-        return (Graph(1, (0,)),)
+        g = Graph(1, (0,))
+        return ((certificate(g), g),)
+    full = (1 << n) - 1
     classes = {}
-    for h in graph_classes(n - 1):
-        for nb in range(1 << (n - 1)):
+    for _, h in graph_classes(n - 1):
+        top = max(a.bit_count() for a in h.adj)
+        tops = mask_of(v for v, a in enumerate(h.adj) if a.bit_count() == top)
+        comps = components(h)
+        for nb in range(1, 1 << (n - 1)):
             d = nb.bit_count()
-            if all(a.bit_count() + (nb >> u & 1) <= d for u, a in enumerate(h.adj)):
-                adj = tuple(a | (nb >> u & 1) << (n - 1) for u, a in enumerate(h.adj))
-                g = Graph(n, adj + (nb,))
-                classes.setdefault(certificate(g), g)
-    return tuple(classes.values())
+            if (d > top or d == top and not nb & tops) and all(nb & c for c in comps):
+                adj = tuple(a | (nb >> u & 1) << (n - 1) for u, a in enumerate(h.adj)) + (nb,)
+                cert = connected_certificate(adj, full)
+                if cert not in classes:
+                    classes[cert] = Graph(n, adj)
+    return tuple(classes.items())
+
+
+@lru_cache(maxsize=None)
+def graph_classes(n: int) -> tuple[tuple[tuple, Graph], ...]:
+    """(certificate, representative) of each isomorphism class of order n,
+    the connected classes first.
+
+    The connected classes come from augmentation (``_connected_classes``).
+    A disconnected class is a disjoint union of a multiset of two or more
+    connected classes of smaller order, so it is built as one, and its
+    certificate is the sorted tuple of its parts' certificates, as
+    ``certificate`` gives it.  The exhaustive suite hands each certificate
+    to the extremal-shape recognizer, which then searches for none.
+    """
+    out = list(_connected_classes(n))
+    for orders in _partitions(n):
+        groups = [
+            combinations_with_replacement(_connected_classes(m), orders.count(m))
+            for m in dict.fromkeys(orders)
+        ]
+        for choice in product(*groups):
+            parts = [part for group in choice for part in group]
+            adj, offset = [], 0
+            for _, h in parts:
+                adj += [a << offset for a in h.adj]
+                offset += h.n
+            out.append((tuple(sorted(cert for cert, _ in parts)), Graph(n, tuple(adj))))
+    return tuple(out)
 
 
 def _orbit_codes(g: Graph, pairs) -> set[int]:
@@ -437,10 +485,11 @@ def _orbit_codes(g: Graph, pairs) -> set[int]:
     return {sum(bit[p[u]][p[v]] for u, v in edges) for p in permutations(range(g.n))}
 
 
-def _violated_claims(solved: _Solved, g: Graph) -> dict[str, dict]:
+def _violated_claims(solved: _Solved, g: Graph, cert: tuple) -> dict[str, dict]:
     """The computed fields of each exhaustive claim that g violates, read
-    off one report of g."""
-    solved.solve(g)
+    off one report and one recognizer entry of g, whose certificate is
+    ``cert``."""
+    solved.solve(g, certificate=cert)
     connected = is_connected(g)
     out = {}
     for c in _EXHAUSTIVE_CLAIMS:
@@ -467,8 +516,8 @@ def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
         solved = _Solved()
         pairs = list(combinations(range(n), 2))
         violated = []
-        for g in graph_classes(n):
-            bad = _violated_claims(solved, g)
+        for cert, g in graph_classes(n):
+            bad = _violated_claims(solved, g, cert)
             if bad:
                 violated.append((bad, _orbit_codes(g, pairs)))
         words = [f"{u}-{v}" for u, v in pairs]

@@ -144,3 +144,25 @@ def solve(g):
         "pt_c": min(cpts),
         "PT_c": max(cpts),
     }
+
+
+def graph_classes(n):
+    """One graph per isomorphism class of order n, by the generator that
+    augmentation plus unions replaced: every class of order n - 1 gets a new
+    vertex of greatest degree in every way, connected or not, and the
+    candidates are deduped by ``graphs.certificate``.  Unlike the rest of
+    this module it leans on the package's certificate, which has its own
+    gates."""
+    from zeroforcing.graphs import Graph, certificate
+
+    if n == 1:
+        return [Graph(1, (0,))]
+    classes = {}
+    for h in graph_classes(n - 1):
+        for nb in range(1 << (n - 1)):
+            d = nb.bit_count()
+            if all(a.bit_count() + (nb >> u & 1) <= d for u, a in enumerate(h.adj)):
+                adj = tuple(a | (nb >> u & 1) << (n - 1) for u, a in enumerate(h.adj))
+                g = Graph(n, adj + (nb,))
+                classes.setdefault(certificate(g), g)
+    return list(classes.values())

@@ -1,9 +1,10 @@
 """Isomorphism classes and the certificate behind them.
 
-``graph_classes`` is checked against OEIS A000088, against the orbits of
-every labeled graph, and against ``networkx``'s graph atlas.
-``certificate`` is checked for invariance under relabeling, against
-brute-force permutation isomorphism, and for speed on symmetric graphs.
+``graph_classes`` is checked against OEIS A000088 and A001349, against the
+generator it replaced, against the orbits of every labeled graph, and
+against ``networkx``'s graph atlas.  ``certificate`` is checked for
+invariance under relabeling, against brute-force permutation isomorphism,
+against its definition on components, and for speed on symmetric graphs.
 ``exhaustive_small_graphs`` is checked against a reference that evaluates
 every claim on every labeled graph on its own.
 """
@@ -13,6 +14,7 @@ import time
 from itertools import combinations, permutations
 from math import comb, factorial
 
+import naive_oracle
 import pytest
 
 import zeroforcing.verify as verify
@@ -20,6 +22,8 @@ from zeroforcing.families import cartesian, complete, complete_multipartite, cyc
 from zeroforcing.graphs import (
     are_isomorphic,
     certificate,
+    components,
+    induced_subgraph,
     is_connected,
     is_path_graph,
     new_graph,
@@ -39,6 +43,8 @@ from zeroforcing.verify import (
 
 # OEIS A000088: graphs on n unlabeled vertices, n = 0..8
 A000088 = [1, 1, 2, 4, 11, 34, 156, 1044, 12346]
+# OEIS A001349: connected graphs on n unlabeled vertices, n = 0..7
+A001349 = [1, 1, 1, 2, 6, 21, 112, 853]
 
 
 def code_graph(n, code):
@@ -65,7 +71,25 @@ def disjoint_copies(g, count):
 
 def test_class_counts_match_a000088():
     for n in range(1, 8):
-        assert len(graph_classes(n)) == A000088[n]
+        classes = graph_classes(n)
+        assert len(classes) == A000088[n]
+        connected = [is_connected(g) for _, g in classes]
+        assert connected.count(True) == A001349[n]
+        # the connected classes come first
+        assert connected == sorted(connected, reverse=True)
+
+
+def test_classes_match_the_replaced_generator():
+    """Augmentation plus unions finds the classes that all-candidates
+    augmentation deduped by certificate found, and each class carries its
+    representative's certificate."""
+    for n in range(1, 8):
+        classes = graph_classes(n)
+        assert all(cert == certificate(g) for cert, g in classes)
+        assert len({cert for cert, _ in classes}) == len(classes)
+        assert {cert for cert, _ in classes} == {
+            certificate(g) for g in naive_oracle.graph_classes(n)
+        }
 
 
 def test_orbit_sizes_divide_n_factorial():
@@ -73,7 +97,7 @@ def test_orbit_sizes_divide_n_factorial():
     are pairwise non-isomorphic and miss none."""
     for n in range(1, 7):
         pairs = list(combinations(range(n), 2))
-        orbits = [_orbit_codes(g, pairs) for g in graph_classes(n)]
+        orbits = [_orbit_codes(g, pairs) for _, g in graph_classes(n)]
         assert all(factorial(n) % len(o) == 0 for o in orbits)
         assert sum(map(len, orbits)) == len(set().union(*orbits)) == 1 << comb(n, 2)
 
@@ -88,10 +112,10 @@ def test_classes_match_networkx_atlas():
     for n in range(1, 8):
         classes = graph_classes(n)
         assert len(atlas[n]) == len(classes) == A000088[n]
-        for g in classes:
+        for cert, g in classes:
             mine = nx.empty_graph(n)
             mine.add_edges_from(g.edges())
-            assert nx.is_isomorphic(mine, atlas[n][certificate(g)])
+            assert nx.is_isomorphic(mine, atlas[n][cert])
 
 
 def test_certificate_invariant_under_relabeling():
@@ -99,6 +123,44 @@ def test_certificate_invariant_under_relabeling():
     for _ in range(300):
         g = random_graph(rnd, rnd.randint(1, 9))
         assert certificate(shuffled(rnd, g)) == certificate(g), g.edges()
+
+
+def certificate_by_definition(g):
+    """A disconnected graph's certificate as first defined: the sorted
+    certificates of its components, each relabeled as its own graph."""
+    comps = components(g)
+    if len(comps) == 1:
+        return certificate(g)
+    return tuple(sorted(certificate(induced_subgraph(g, c)[0]) for c in comps))
+
+
+def random_disconnected_graph(rnd, n):
+    """Vertices dealt into 2..n groups, edges only inside a group, so some
+    groups are isolated vertices and the components interleave their ids."""
+    groups = rnd.randint(2, n)
+    group = [rnd.randrange(groups) for _ in range(n)]
+    group[:2] = rnd.sample(range(groups), 2)  # at least two groups are used
+    rnd.shuffle(group)
+    p = rnd.random()
+    pairs = [(u, v) for u, v in combinations(range(n), 2) if group[u] == group[v]]
+    return new_graph(n, [e for e in pairs if rnd.random() < p])
+
+
+def test_certificate_of_components_in_place_matches_the_definition():
+    for n in range(1, 6):
+        for code in range(1 << comb(n, 2)):
+            g = code_graph(n, code)
+            assert certificate(g) == certificate_by_definition(g), g.edges()
+    rnd = random.Random(26)
+    isolated = 0
+    for _ in range(300):
+        g = random_disconnected_graph(rnd, rnd.randint(2, 12))
+        assert len(components(g)) > 1
+        isolated += 0 in map(g.degree, range(g.n))
+        cert = certificate(g)
+        assert cert == certificate_by_definition(g), g.edges()
+        assert certificate(shuffled(rnd, g)) == cert, g.edges()
+    assert isolated
 
 
 def brute_isomorphic(g, h):

@@ -147,7 +147,7 @@ def tiny_graphs():
     one seeded relabeling."""
     rnd = random.Random(19)
     for n in range(1, 7):
-        for g in graph_classes(n):
+        for _, g in graph_classes(n):
             perm = list(range(n))
             rnd.shuffle(perm)
             yield g

@@ -14,6 +14,7 @@ from zeroforcing.graphs import (
 )
 from zeroforcing.recognize import (
     FormKind,
+    _lookup,
     min_extremal_spec,
     recognize_extremal_form,
 )
@@ -129,7 +130,9 @@ def isolated_plus_path(g):
 def test_every_class_to_order_7_and_a_relabeling():
     rng = random.Random(7)
     for n in range(1, 8):
-        for g in graph_classes(n):
+        for cert, g in graph_classes(n):
+            # the entry read with the class's carried certificate
+            assert _lookup(g, cert) == _lookup(g), g
             perm = list(range(n))
             rng.shuffle(perm)
             seen = []

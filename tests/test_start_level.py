@@ -71,7 +71,7 @@ def test_levels_are_upward_closed_and_witnesses_least(scalar, monkeypatch):
     order at least 2 descends, at the shipped one those of order 7."""
     monkeypatch.setattr(solver, "_SCALAR_LEVEL", scalar)
     for n in range(1, 8):
-        for g in graph_classes(n):
+        for _, g in graph_classes(n):
             check_against_oracle(g)
 
 
@@ -130,7 +130,7 @@ def test_value_query_and_first_hit_equal_climbing():
 def test_greedy_bound_is_a_forcing_set():
     """The greedy set forces, and is connected in components with
     ``connected``; without it no single vertex can leave the set."""
-    for g in [g for n in range(1, 7) for g in graph_classes(n)] + differential_graphs():
+    for g in [g for n in range(1, 7) for _, g in graph_classes(n)] + differential_graphs():
         plain, conn = solver._greedy_set(g, False), solver._greedy_set(g, True)
         assert is_zfs(g, plain) and is_czfs(g, conn)
         assert not any(is_zfs(g, plain ^ 1 << v) for v in range(g.n) if plain >> v & 1)

@@ -93,10 +93,10 @@ def test_finding_rows_describe_the_graph_they_checked():
     # (claim, certificate of a violating class) -> descriptors of its relabelings
     orbits = {}
     for n in range(1, 6):
-        for h in graph_classes(n):
-            for c in verify._violated_claims(verify._Solved(), h):
+        for cert, h in graph_classes(n):
+            for c in verify._violated_claims(verify._Solved(), h, cert):
                 orbit = {graph_to_instance(relabel(h, p)) for p in permutations(range(n))}
-                orbits[(c, certificate(h))] = orbit
+                orbits[(c, cert)] = orbit
     findings = [r for r in rows if not r.instance.startswith("all-labeled")]
     assert findings
     listed = {}
@@ -183,9 +183,51 @@ def test_each_graph_parameter_is_solved_once_per_suite_call(monkeypatch):
     # computed fields
     calls.clear()
     rows = exhaustive_small_graphs(5)
-    classes = [g for n in range(1, 6) for g in graph_classes(n)]
+    classes = [g for n in range(1, 6) for _, g in graph_classes(n)]
     assert calls == [(g, "report") for g in classes]
     assert any(not r.instance.startswith("all-labeled") for r in rows)
+
+
+def test_exhaustive_suite_reads_one_carried_recognizer_entry_per_class(monkeypatch):
+    """Each class's certificate travels with it from ``graph_classes``: the
+    suite makes one recognizer lookup per class, with that certificate, and
+    searches for certificates only to find the classes and to build the
+    recognizer's catalog."""
+    import sys
+
+    import zeroforcing.graphs as graphs
+    import zeroforcing.recognize as recognize
+    import zeroforcing.verify as verify
+
+    for cached in (verify.graph_classes, verify._connected_classes, recognize._catalog):
+        cached.cache_clear()
+    callers = []
+    greatest_code = graphs._greatest_code
+
+    def counted(adj, cells, queue):
+        frame = sys._getframe(1)
+        if frame.f_code.co_name != "_greatest_code":  # a search, not one of its branches
+            names = set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            callers.append(names & {"_connected_classes", "_catalog"})
+        return greatest_code(adj, cells, queue)
+
+    lookups = []
+
+    def lookup(g, cert=None):
+        lookups.append((g, cert))
+        return recognize._lookup(g, cert)
+
+    monkeypatch.setattr(graphs, "_greatest_code", counted)
+    monkeypatch.setattr(verify, "_lookup", lookup)
+    exhaustive_small_graphs(6)
+    assert lookups == [(g, cert) for n in range(1, 7) for cert, g in graph_classes(n)]
+    assert {frozenset(names) for names in callers} == {
+        frozenset({"_connected_classes"}),
+        frozenset({"_catalog"}),
+    }
 
 
 def test_run_suites_keep_no_state_between_calls(monkeypatch):
@@ -320,7 +362,7 @@ def test_exhausted_class_report_stops_the_suite(monkeypatch):
 
     monkeypatch.setattr(verify, "DEFAULT_BUDGET", 2)
     for n in range(1, 4):
-        for g in graph_classes(n):
+        for _, g in graph_classes(n):
             rep = solve_report(g, 2)
             solved = verify._Solved()
             with pytest.raises(BudgetExceeded) as exc:
