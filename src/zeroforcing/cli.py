@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from collections import Counter
 from contextlib import nullcontext
 from dataclasses import replace
 from functools import cache
@@ -117,34 +116,27 @@ def _emit(text, out_path: str | None):
 def _json_rows(rows):
     """``_json_text`` of the rows' JSON dicts, written one row at a time.
 
-    Rows that differ only in ``instance`` share one encoding: their
-    group's row is written once with a ``_Slot`` for the instance, and each
-    row puts its own encoded instance into every slot.  A group compares
-    ``expected`` by its encoding and ``computed`` by identity, as the
-    exhaustive suite's findings share their class's dict.  A group's first
-    row is written directly and its second builds the shared text, so a
-    row alone in its group leaves no text behind.
+    Rows that differ only in ``instance`` form a group, which is encoded
+    once: its first row builds the group's text with a ``_Slot`` for the
+    instance, and every row puts its own encoded instance into each slot.
+    A group compares ``expected`` by its encoding and ``computed`` by
+    identity, as the exhaustive suite's findings share their class's dict;
+    ``rows`` keeps every ``computed`` dict alive while the rows are
+    written, so no two of them share an ``id``.
     """
     if not rows:
         yield _json_text([])
         return
-    # only rows that share their computed dict can share a text
-    sharing = Counter(id(row.computed) for row in rows)
-    shared = {}
+    templates = {}
     yield "[\n  "
     sep = ""
     for row in rows:
-        computed, text = id(row.computed), None
-        if sharing[computed] > 1:
-            key = row.claim, row.relation, _dumps(row.expected), computed, row.verdict, row.hard
-            if key in shared:
-                if shared[key] is None:
-                    slotted = replace(row, instance=_Slot()).to_json_dict()
-                    shared[key] = _dumps(slotted, "\n  ").split("\0")
-                text = _dumps(row.instance).join(shared[key])
-            else:
-                shared[key] = None
-        yield sep + (text or _dumps(row.to_json_dict(), "\n  "))
+        key = row.claim, row.relation, _dumps(row.expected), id(row.computed), row.verdict, row.hard
+        template = templates.get(key)
+        if template is None:
+            slotted = replace(row, instance=_Slot()).to_json_dict()
+            template = templates[key] = _dumps(slotted, "\n  ").split("\0")
+        yield sep + _dumps(row.instance).join(template)
         sep = ",\n  "
     yield "\n]\n"
 

@@ -92,6 +92,8 @@ class _Meter:
     __slots__ = ("limit", "used", "note", "bound")
 
     def __init__(self, budget: int):
+        if budget < 0:
+            raise ValueError(f"budget must be at least 0, got {budget}")
         self.limit = budget
         self.used = 0
         self.note = ""

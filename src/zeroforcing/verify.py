@@ -98,8 +98,8 @@ class _Solved:
     descriptors parsed once.  Each kind of row fills the table from its own
     search, at most once per graph and search:
 
-    - ``solve`` fills all four numbers of an exhaustive class representative
-      from one ``solve_report``, next to its certificate ("certificate");
+    - ``solve`` merges all four numbers of g from one ``solve_report``, and
+      an exhaustive class's certificate ("certificate"), into g's entry;
     - Z is a value query (``solver._min_size``) from the min-degree bound,
       and Z_c one from Z: every connected zero forcing set forces, so
       Z <= Z_c.  Neither needs a witness;
@@ -123,16 +123,17 @@ class _Solved:
             g = self._graphs[instance] = graph_from_instance(instance)
         return g
 
-    def solve(self, g: Graph, **known):
-        """Fill all four numbers of g from one ``solve_report``, next to the
-        values in ``known`` that the caller already has; raise the report's
-        closures and lower bounds as ``BudgetExceeded`` if it ran out."""
+    def solve(self, g: Graph, certificate: tuple | None = None):
+        """Merge g's four numbers from one ``solve_report``, and ``certificate``
+        if given, into g's entry; an exhausted report raises ``BudgetExceeded``."""
         rep = solve_report(g, DEFAULT_BUDGET)
         if rep.budget_exceeded:
             message = f"budget of {DEFAULT_BUDGET} closure evaluations exhausted"
             raise BudgetExceeded(message, rep.closures, rep.lower_bounds)
         numbers = {"z": rep.z, "z_c": rep.z_c, "pt_c": rep.ptc_min, "PT_c": rep.ptc_max}
-        self._values[g] = {**known, **numbers}
+        if certificate is not None:
+            numbers["certificate"] = certificate
+        self._values.setdefault(g, {}).update(numbers)
 
     def value(self, g: Graph, key: str):
         """The value named ``key`` of g, searched for on first use."""
@@ -146,7 +147,7 @@ class _Solved:
                 known[key] = _lookup(g, known.get("certificate"))
             else:
                 self.solve(g)
-        return self._values[g][key]
+        return known[key]
 
 
 def _path_equivalence(g: Graph, value) -> dict:

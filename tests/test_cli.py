@@ -480,6 +480,32 @@ def test_streamed_verify_document_is_one_dump(capsys, tmp_path, suite):
     assert path.read_text() == expected
 
 
+@pytest.mark.parametrize(("suite", "nmax", "groups"), [("exhaustive", 6, 31), ("all", 5, None)])
+def test_writer_encodes_each_group_once(monkeypatch, suite, nmax, groups):
+    """Rows that differ only in instance are one group, and the writer
+    encodes each group's dict once, on its first row."""
+    from zeroforcing.verify import run_suites
+
+    rows = run_suites(suite=suite, nmax=nmax)
+    keys = {
+        (r.claim, r.relation, json.dumps(r.expected), id(r.computed), r.verdict, r.hard)
+        for r in rows
+    }
+    assert groups in (None, len(keys)) and len(keys) < len(rows)
+    encodings = []
+    to_json_dict = ClaimResult.to_json_dict
+
+    def counted(row):
+        encodings.append(row)
+        return to_json_dict(row)
+
+    monkeypatch.setattr(ClaimResult, "to_json_dict", counted)
+    text = "".join(cli._json_rows(rows))
+    assert len(encodings) == len(keys)
+    monkeypatch.undo()
+    assert text == json.dumps([r.to_json_dict() for r in rows], indent=2) + "\n"
+
+
 def test_json_rows_of_no_rows_is_an_empty_array():
     assert "".join(cli._json_rows([])) == cli._json_text([]) == "[]\n"
 

@@ -79,10 +79,30 @@ def test_recognizer_rebuild_soundness():
 
 
 def test_size_limit():
-    with pytest.raises(TooLarge):
-        recognize_extremal_form(path(17))
-    with pytest.raises(TooLarge):
-        min_extremal_spec(path(17))
+    """Recognition answers up to 12 vertices, where the largest catalog
+    builds in about a second, and raises TooLarge above."""
+    for g in (path(13), cycle(13), path(17)):
+        with pytest.raises(TooLarge):
+            recognize_extremal_form(g)
+        with pytest.raises(TooLarge):
+            min_extremal_spec(g)
+    paw_tail = pc_graph(PCSpec((0,), tail=(2, 10)))
+    assert paw_tail.n == 12
+    assert recognize_extremal_form(paw_tail).kind is FormKind.PC_PLUS_TAIL
+    assert min_extremal_spec(paw_tail) == PCSpec((0,), tail=(2, 10))
+    assert not recognize_extremal_form(cycle(12)).accepted
+
+
+def test_empty_catalog_searches_no_certificate(monkeypatch):
+    """No shape has the order and size of K_6, so its lookup answers from
+    the empty catalog without a certificate search."""
+    import zeroforcing.recognize as recognize
+
+    assert recognize._catalog(6, 15) == {}
+    calls = []
+    monkeypatch.setattr(recognize, "certificate", lambda g: calls.append(g))
+    assert _lookup(complete(6)) == (recognize._NOT_EXTREMAL, None)
+    assert calls == []
 
 
 def test_min_conditions_require_first_cycle_chords():

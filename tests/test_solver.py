@@ -294,3 +294,29 @@ def test_every_entry_point_reports_the_bound_by_one_rule(g):
         with pytest.raises(BudgetExceeded) as info:
             call()
         assert info.value.best_known == {} and info.value.closures == 0
+
+
+# the six library entry points, each called with a budget
+ENTRY_POINTS = {
+    "zero_forcing_number": lambda g, budget: zero_forcing_number(g, budget),
+    "connected_zero_forcing_number": lambda g, budget: connected_zero_forcing_number(g, budget),
+    "enumerate_min_zfs": lambda g, budget: enumerate_min_zfs(g, budget=budget),
+    "enumerate_min_czfs": lambda g, budget: enumerate_min_czfs(g, budget=budget),
+    "propagation_extrema": lambda g, budget: propagation_extrema(g, budget=budget),
+    "solve_report": lambda g, budget: solve_report(g, budget),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+def test_negative_budget_is_a_value_error(entry):
+    """A budget below 0 raises ValueError before any search; a budget of 0
+    evaluates no set, reports no lower bound and is exhausted."""
+    g = cycle(5)
+    with pytest.raises(ValueError, match="budget must be at least 0, got -1"):
+        entry(g, -1)
+    try:
+        rep = entry(g, 0)
+    except BudgetExceeded as exc:
+        assert (exc.closures, exc.best_known) == (0, {})
+    else:
+        assert rep.budget_exceeded and (rep.closures, rep.lower_bounds) == (0, {})

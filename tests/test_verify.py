@@ -306,6 +306,32 @@ def test_table_reads_pt_c_from_one_report(monkeypatch):
     assert calls == [(g, "report")]
 
 
+def test_report_keeps_the_values_read_before_it(monkeypatch):
+    """The report of pt_c merges its numbers into the graph's entry, so the
+    recognizer entry read before it is not looked up again."""
+    import zeroforcing.recognize as recognize
+    import zeroforcing.verify as verify
+    from zeroforcing.families import complete
+
+    g = complete(3)  # the smallest max-time shape: pt_c = PT_c = 1
+    lookups = []
+
+    def lookup(h, cert=None):
+        lookups.append(h)
+        return recognize._lookup(h, cert)
+
+    monkeypatch.setattr(verify, "_lookup", lookup)
+    calls = count_solves(monkeypatch)
+    solved = verify._Solved()
+    shape = solved.value(g, "shape")
+    assert shape[0].accepted and lookups == [g]
+    assert solved.value(g, "pt_c") == 1 and calls == [(g, "report")]
+    assert solved.value(g, "shape") is shape and lookups == [g]
+    solved.solve(g, certificate=("cert",))
+    assert solved.value(g, "shape") is shape and lookups == [g]
+    assert solved.value(g, "certificate") == ("cert",)
+
+
 def test_exceeded_row_carries_the_meters_bound(monkeypatch):
     """A row whose search runs out records the closures and the lower bound
     of the search's meter, as every solver entry point reports it."""
