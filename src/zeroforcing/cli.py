@@ -32,7 +32,7 @@ from .solver import (
     enumerate_min_zfs,
     solve_report,
 )
-from .verify import csv_summary, has_hard_violations, run_suites
+from .verify import SUITES, csv_summary, has_hard_violations, run_suites
 
 EXIT_OK = 0
 EXIT_HARD_VIOLATION = 1
@@ -54,17 +54,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _dumps(obj, newline: str = "\n") -> str:
-    """``json.dumps(obj, indent=2)``, byte for byte, nested where ``newline``
-    (a newline and the indent) starts a line.
+    """A verify row template as ``json.dumps(obj, indent=2)`` writes it, byte
+    for byte, nested where ``newline`` (a newline and the indent) starts a line.
 
-    With an indent, ``json`` encodes in pure Python, one generator step per
-    token; this writes the dicts with string keys and the lists, and the
-    strings, ints, bools and None in them, with one call per value.
-    Anything else goes to ``json.dumps``, re-indented: a newline in its
-    output always starts a line, since strings escape theirs.
+    It serves the row templates only: string-keyed dicts, lists, str, int,
+    bool, None and ``_Slot``, which ``json`` cannot write.  It writes each
+    value with one call; ``json`` with an indent takes one step per token.
     """
-    write = _WRITERS.get(type(obj))
-    return write(obj, newline) if write else json.dumps(obj, indent=2).replace("\n", newline)
+    return _WRITERS[type(obj)](obj, newline)
 
 
 def _dumps_list(items, newline: str) -> str:
@@ -75,12 +72,7 @@ def _dumps_list(items, newline: str) -> str:
 
 def _dumps_dict(obj, newline: str) -> str:
     inner = newline + "  "
-    parts = []
-    for key, value in obj.items():
-        if type(key) is not str:
-            # json writes other keys as strings; leave those to it
-            return json.dumps(obj, indent=2).replace("\n", newline)
-        parts.append(_encode_str(key) + ": " + _dumps(value, inner))
+    parts = [_encode_str(key) + ": " + _dumps(value, inner) for key, value in obj.items()]
     return "{" + inner + ("," + inner).join(parts) + newline + "}" if parts else "{}"
 
 
@@ -90,7 +82,7 @@ class _Slot:
     written escaped to ASCII."""
 
 
-# writer by exact type: a subclass, such as a str subclass, goes to json.dumps
+# writer by exact type
 _WRITERS = {
     _Slot: lambda _, __: "\0",
     str: lambda text, _: _encode_str(text),
@@ -103,7 +95,7 @@ _WRITERS = {
 
 
 def _json_text(obj) -> str:
-    return _dumps(obj) + "\n"
+    return json.dumps(obj, indent=2) + "\n"
 
 
 def _emit(text, out_path: str | None):
@@ -228,7 +220,7 @@ def _cmd_compute(args) -> int:
 def _cmd_trace(args) -> int:
     g = _load_graph(args)
     try:
-        seed = [ascii_int(tok) for tok in args.seed.split(",") if tok != ""]
+        seed = [ascii_int(tok) for tok in args.seed.split(",")]
     except ValueError:
         raise GraphError("--seed must be a comma-separated list of vertex ids") from None
     mask = 0
@@ -291,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("trace", help="propagate from a seed set and print rounds")
     _add_graph_input(p)
-    p.add_argument("--seed", required=True, help="comma-separated vertex ids")
+    p.add_argument("--seed", required=True, help="one or more comma-separated vertex ids")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(fn=_cmd_trace)
 
@@ -302,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="machine-check the bundled claims")
-    p.add_argument("--suite", choices=("named", "products", "exhaustive", "all"), default="all")
+    p.add_argument("--suite", choices=(*SUITES, "all"), default="all")
     p.add_argument("--nmax", type=ascii_int, default=6)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out")

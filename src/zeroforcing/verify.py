@@ -1,9 +1,11 @@
 """Machine checks of the closed forms, product bounds, and extremal
 characterizations, over parameterized families and exhaustive labeled
-small graphs.  The instances of every suite are fixed tables in this
-module, so a suite's rows depend only on its name and, for the exhaustive
-suite, on the largest order.  ``zf verify`` is the command-line front end;
-its ``--format csv`` prints the per-claim verdict counts.
+small graphs.  ``SUITES`` maps each suite to the function that gives its
+rows; the named and product suites each check one list of (claim,
+instance, expected) rows against one value table.  Every suite's
+instances are fixed tables in this module, so its rows depend only on its
+name and, for the exhaustive suite, on the largest order.  ``zf verify``
+is the command-line front end; ``--format csv`` prints verdict counts.
 
 The exhaustive claims read isomorphism invariants only, so they are
 evaluated once per isomorphism class (``graph_classes``): the connected
@@ -32,6 +34,7 @@ unstated hypotheses, and the findings document exactly where).
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
@@ -296,28 +299,25 @@ def _partitions(total: int, max_part: int | None = None):
 
 def check_named_parameters() -> list[ClaimResult]:
     """Closed-form values of Z and Z_c for the named families."""
-    solved = _Solved()
-    out = []
-    for family, first, last, closed_form in _NAMED_FAMILIES:
-        for n in range(first, last + 1):
-            z, z_c = closed_form(n)
-            out.append(_check(f"named/{family}", f"{family}({n})", {"z": z, "z_c": z_c}, solved))
+    rows = [
+        (f"named/{family}", f"{family}({n})", dict(zip(_ZS, closed_form(n))))
+        for family, first, last, closed_form in _NAMED_FAMILIES
+        for n in range(first, last + 1)
+    ]
     for total in range(2, _MULTIPARTITE_TOTAL + 1):
         for parts in _partitions(total):
-            inst = "multipartite(" + ",".join(map(str, parts)) + ")"
-            expected = {"z": total - 2, "z_c": total - 2}
             # all-singleton partitions describe complete graphs and (m,1)
             # partitions describe stars; both graphs carry their own closed
             # forms (n-1 for Z_c), so the printed multipartite form is
             # checked on them as stated rather than required
-            is_complete = parts[0] == 1
-            is_star = len(parts) == 2 and parts[1] == 1
-            if is_complete or is_star:
+            if parts[0] == 1 or len(parts) == 2 and parts[1] == 1:
                 claim = "multipartite/star-or-complete-as-stated"
             else:
                 claim = "multipartite/general"
-            out.append(_check(claim, inst, expected, solved))
-    return out
+            inst = "multipartite(" + ",".join(map(str, parts)) + ")"
+            rows.append((claim, inst, {"z": total - 2, "z_c": total - 2}))
+    solved = _Solved()
+    return [_check(claim, inst, expected, solved) for claim, inst, expected in rows]
 
 
 # named family, first and last order, and (Z, Z_c) as a function of the order
@@ -343,14 +343,14 @@ _CARTESIAN_FACTOR_PAIRS = [
     ("path(2)", "cycle(4)"),
     ("star(4)", "path(3)"),
 ]
-# (base term, attachment terms)
-_GENCORONA_BOUND = [
+# (base term, attachment terms); the first _GENCORONA_EQUALITY also check the value
+_GENCORONAS = [
     ("path(2)", ("path(2)", "path(2)")),
     ("cycle(3)", ("path(2)", "path(2)", "path(2)")),
     ("path(3)", ("path(2)", "cycle(3)", "path(3)")),
     ("path(2)", ("complete(1)", "path(3)")),
 ]
-_GENCORONA_EQUALITY = _GENCORONA_BOUND[:3]
+_GENCORONA_EQUALITY = 3
 _CORONA_BOUNDS = [("cycle(5)", "path(3)"), ("path(3)", "cycle(6)"),
                   ("cycle(3)", "path(2)"), ("path(2)", "cycle(3)")]
 _CORONA_CYCLE_PATH = [(5, 3), (3, 2), (4, 2)]
@@ -360,62 +360,58 @@ _CORONA_PATH_CYCLE = [(3, 6), (2, 3)]
 def check_product_bounds() -> list[ClaimResult]:
     """Bounds and values for strong/Cartesian products and coronas."""
     solved = _Solved()
-    out = []
-    for n, m in _STRONG_CYCLE_PATH:
-        inst = f"strong(cycle({n}),path({m}))"
-        out.append(_check("product/strong-cycle-path", inst, {"bound": n + 2 * m - 2}, solved))
-    for factor in _CARTESIAN_LAYER_FACTORS:
-        base = solved.graph(factor)
-        for t in (2, 3):
-            if base.n * t > 16:
-                continue
-            inst = f"cartesian({factor},path({t}))"
-            out.append(
-                _check(
-                    "product/cartesian-path-layers-as-stated",
-                    inst,
-                    {"z": base.n, "z_c": base.n},
-                    solved,
-                )
-            )
-    for a, b in _CARTESIAN_FACTOR_PAIRS:
-        ga, gb = solved.graph(a), solved.graph(b)
-        bound = min(solved.value(ga, "z_c") * gb.n, solved.value(gb, "z_c") * ga.n)
-        inst = f"cartesian({a},{b})"
-        out.append(_check("product/cartesian-factor-bound", inst, {"bound": bound}, solved))
-    for n in range(1, 5):
-        for m in range(1, 5):
-            inst = f"strong(path({n}),path({m}))"
-            out.append(_check("product/strong-grid", inst, {"bound": n + m - 1}, solved))
-    for base, parts in _GENCORONA_BOUND:
-        inst, bound = _gencorona_claim(solved, base, parts)
-        out.append(_check("gencorona/zc-bound", inst, {"bound": bound}, solved))
-    for base, parts in _GENCORONA_EQUALITY:
-        inst, value = _gencorona_claim(solved, base, parts)
-        out.append(_check("gencorona/zc-equality", inst, {"z_c": value}, solved))
-    for a, b in _CORONA_BOUNDS:
-        ga, gb = solved.graph(a), solved.graph(b)
-        zh = solved.value(gb, "z")
-        inst = f"corona({a},{b})"
-        bound = solved.value(ga, "z") + ga.n * zh
-        out.append(_check("corona/z-bound", inst, {"bound": bound}, solved))
-        bound = solved.value(ga, "z_c") + ga.n * zh
-        out.append(_check("corona/zc-bound-as-stated", inst, {"bound": bound}, solved))
-    for n, m in _CORONA_CYCLE_PATH:
-        inst = f"corona(cycle({n}),path({m}))"
-        out.append(_check("corona/cycle-path-values", inst, {"z": n + 2, "z_c": 2 * n}, solved))
-    for n, m in _CORONA_PATH_CYCLE:
-        inst = f"corona(path({n}),cycle({m}))"
-        expected = {"z": 2 * n + 1, "z_c": 3 * n}
-        out.append(_check("corona/path-cycle-values", inst, expected, solved))
-    return out
 
+    def order(term: str) -> int:
+        return solved.graph(term).n
 
-def _gencorona_claim(solved: _Solved, base: str, parts) -> tuple[str, int]:
-    """Instance text of gencorona(base; parts) and |base| + sum of Z(part)."""
-    value = solved.graph(base).n
-    value += sum(solved.value(solved.graph(p), "z") for p in parts)
-    return f"gencorona({base};{','.join(parts)})", value
+    def value(term: str, key: str) -> int:
+        return solved.value(solved.graph(term), key)
+
+    # gencorona(base; parts) and its bound |base| + sum of Z(part)
+    gencoronas = [
+        (f"gencorona({base};{','.join(parts)})", order(base) + sum(value(p, "z") for p in parts))
+        for base, parts in _GENCORONAS
+    ]
+    rows = [
+        ("product/strong-cycle-path", f"strong(cycle({n}),path({m}))", {"bound": n + 2 * m - 2})
+        for n, m in _STRONG_CYCLE_PATH
+    ]
+    rows += [
+        ("product/cartesian-path-layers-as-stated", f"cartesian({factor},path({t}))",
+         {"z": order(factor), "z_c": order(factor)})
+        for factor in _CARTESIAN_LAYER_FACTORS
+        for t in (2, 3)
+        if order(factor) * t <= 16
+    ]
+    rows += [
+        ("product/cartesian-factor-bound", f"cartesian({a},{b})",
+         {"bound": min(value(a, "z_c") * order(b), value(b, "z_c") * order(a))})
+        for a, b in _CARTESIAN_FACTOR_PAIRS
+    ]
+    rows += [
+        ("product/strong-grid", f"strong(path({n}),path({m}))", {"bound": n + m - 1})
+        for n in range(1, 5) for m in range(1, 5)
+    ]
+    rows += [("gencorona/zc-bound", inst, {"bound": total}) for inst, total in gencoronas]
+    rows += [
+        ("gencorona/zc-equality", inst, {"z_c": total})
+        for inst, total in gencoronas[:_GENCORONA_EQUALITY]
+    ]
+    rows += [
+        (claim, f"corona({a},{b})", {"bound": value(a, key) + order(a) * value(b, "z")})
+        for a, b in _CORONA_BOUNDS
+        for claim, key in (("corona/z-bound", "z"), ("corona/zc-bound-as-stated", "z_c"))
+    ]
+    rows += [
+        ("corona/cycle-path-values", f"corona(cycle({n}),path({m}))", {"z": n + 2, "z_c": 2 * n})
+        for n, m in _CORONA_CYCLE_PATH
+    ]
+    rows += [
+        ("corona/path-cycle-values", f"corona(path({n}),cycle({m}))",
+         {"z": 2 * n + 1, "z_c": 3 * n})
+        for n, m in _CORONA_PATH_CYCLE
+    ]
+    return [_check(claim, inst, expected, solved) for claim, inst, expected in rows]
 
 
 @lru_cache(maxsize=None)
@@ -538,18 +534,20 @@ def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
     return out
 
 
+# suite name -> its rows for a largest order ``nmax``, in run order
+SUITES = {
+    "named": lambda nmax: check_named_parameters(),
+    "products": lambda nmax: check_product_bounds(),
+    "exhaustive": exhaustive_small_graphs,
+}
+
+
 def run_suites(suite: str = "all", nmax: int = 6) -> list[ClaimResult]:
-    """Run the requested suites and return results sorted by claim then
-    instance."""
-    if suite not in ("named", "products", "exhaustive", "all"):
+    """Run the requested suite, or every one of ``SUITES`` for "all", and
+    return results sorted by claim then instance."""
+    if suite != "all" and suite not in SUITES:
         raise ValueError(f"unknown suite '{suite}'")
-    out = []
-    if suite in ("named", "all"):
-        out.extend(check_named_parameters())
-    if suite in ("products", "all"):
-        out.extend(check_product_bounds())
-    if suite in ("exhaustive", "all"):
-        out.extend(exhaustive_small_graphs(nmax))
+    out = [row for name, rows in SUITES.items() if suite in (name, "all") for row in rows(nmax)]
     out.sort(key=lambda r: (r.claim, r.instance))
     return out
 
@@ -559,19 +557,11 @@ def has_hard_violations(results) -> bool:
 
 
 def csv_summary(results) -> str:
-    """Aggregate per claim: instances, holds, violated, budget-exceeded."""
-    agg: dict[str, list[int]] = {}
-    for r in results:
-        row = agg.setdefault(r.claim, [0, 0, 0, 0])
-        row[0] += 1
-        if r.verdict == "holds":
-            row[1] += 1
-        elif r.verdict == "violated":
-            row[2] += 1
-        else:
-            row[3] += 1
+    """Count per claim: instances, holds, violated, budget-exceeded (the rest)."""
+    instances = Counter(r.claim for r in results)
+    verdicts = Counter((r.claim, r.verdict) for r in results)
     lines = ["claim,instances,holds,violated,budget_exceeded"]
-    for claim in sorted(agg):
-        row = agg[claim]
-        lines.append(f"{claim},{row[0]},{row[1]},{row[2]},{row[3]}")
+    for claim in sorted(instances):
+        n, holds, violated = instances[claim], verdicts[claim, "holds"], verdicts[claim, "violated"]
+        lines.append(f"{claim},{n},{holds},{violated},{n - holds - violated}")
     return "\n".join(lines) + "\n"

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import zeroforcing.cli as cli
 import zeroforcing.dsl as dsl
 import zeroforcing.solver as solver
+import zeroforcing.verify as verify
 from zeroforcing.cli import main
 from zeroforcing.dsl import ParseError, parse_graph_dsl
 from zeroforcing.graphs import vertices_of
@@ -169,7 +170,23 @@ def test_enumerate_runs_one_value_query(capsys, monkeypatch):
 def test_verify_named_suite(capsys):
     code, out, _ = run_cli(capsys, "verify", "--suite", "named", "--format", "csv")
     assert code == 0
-    assert out.startswith("claim,instances,holds,violated,budget_exceeded")
+    assert out.splitlines() == [
+        "claim,instances,holds,violated,budget_exceeded",
+        "multipartite/general,45,45,0,0",
+        "multipartite/star-or-complete-as-stated,13,1,12,0",
+        "named/complete,7,7,0,0",
+        "named/cycle,8,8,0,0",
+        "named/path,8,8,0,0",
+        "named/star,6,6,0,0",
+        "named/supertriangle,3,3,0,0",
+        "named/wheel,6,6,0,0",
+    ]
+
+
+def test_suite_choices_are_the_suite_table_and_all():
+    verify_parser = cli.build_parser()._subparsers._group_actions[0].choices["verify"]
+    (suite,) = [a for a in verify_parser._actions if a.dest == "suite"]
+    assert suite.choices == (*verify.SUITES, "all")
 
 
 def test_verify_exhaustive_small(capsys):
@@ -195,6 +212,20 @@ def test_out_flag(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "compute", "wheel(6)", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["z"] == 3
+
+
+def test_empty_seed_ids_are_input_errors(capsys):
+    """Every comma-separated token of --seed is a vertex id: an empty one
+    is an input error, not skipped."""
+    for seed in ("0,,2", "0,", ",", ""):
+        code, out, err = run_cli(capsys, "trace", "path(4)", "--seed", seed)
+        assert code == 2 and out == "", seed
+        assert json.loads(err) == {
+            "error": "GraphError",
+            "message": "--seed must be a comma-separated list of vertex ids",
+        }
+    code, out, _ = run_cli(capsys, "trace", "path(4)", "--seed", "0,2")
+    assert code == 0 and json.loads(out)["initial"] == [0, 2]
 
 
 def test_input_errors(capsys, tmp_path):
@@ -439,11 +470,17 @@ def test_exceeded_budget_reports_the_level_reached(capsys):
     assert doc["budget"]["z_lower_bound"] == 8
 
 
+def readme_block(heading: str) -> str:
+    """The first fenced block under README's ``heading``, language tag
+    included."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
+    return text.split(heading, 1)[1].split("```", 2)[1]
+
+
 def readme_commands():
     """The commands of the fenced block under README's ``## Command line``,
     each as an argv list without its comment."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8")
-    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    block = readme_block("## Command line")
     return [shlex.split(line, comments=True) for line in block.splitlines() if line.strip()]
 
 
@@ -454,6 +491,26 @@ def test_readme_examples_run(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv[1:])
     assert code == 0, err
     assert out
+
+
+def test_readme_library_example_runs():
+    """The fenced block under README's ``## Library entry points`` runs, and
+    each commented expression has the value that its comment starts with
+    (up to a ``;``)."""
+    namespace, source, checked = {}, [], []
+    # the first line is the block's language tag
+    for line in readme_block("## Library entry points").splitlines()[1:]:
+        code, _, comment = line.partition("#")
+        if not comment:
+            source.append(line)
+            continue
+        exec("\n".join(source), namespace)
+        source = []
+        value, claimed = eval(code, namespace), comment.split(";")[0].strip()
+        assert value == eval(claimed, {}), (code, value, claimed)
+        checked.append(claimed)
+    exec("\n".join(source), namespace)
+    assert checked == ["7, 10", "(2, 0b11)", "3"]
 
 
 @pytest.mark.parametrize("suite", ["named", "products", "exhaustive", "all"])
@@ -522,6 +579,7 @@ json_values = st.recursive(
 
 @given(json_values)
 def test_writer_matches_json_dumps_indent_2(obj):
+    assert cli._dumps(obj) == json.dumps(obj, indent=2)
     assert cli._json_text(obj) == json.dumps(obj, indent=2) + "\n"
 
 
@@ -574,6 +632,7 @@ def test_json_rows_match_json_dumps_indent_2(rows):
     ids=repr,
 )
 def test_writer_hands_other_values_to_json(obj):
-    """Floats, tuples and non-string keys go to json.dumps, re-indented."""
+    """Documents with floats, tuples and non-string keys are written by
+    json.dumps."""
     for value in (obj, [obj], {"outer": [obj, {"inner": obj}]}):
         assert cli._json_text(value) == json.dumps(value, indent=2) + "\n"

@@ -2,6 +2,7 @@ import pytest
 
 from zeroforcing.graphs import GraphError, new_graph
 from zeroforcing.verify import (
+    ClaimResult,
     check_named_parameters,
     check_product_bounds,
     csv_summary,
@@ -136,6 +137,33 @@ def test_run_suites_sorted_and_csv():
     lines = text.strip().splitlines()
     assert lines[0] == "claim,instances,holds,violated,budget_exceeded"
     assert len(lines) > 1
+
+
+def test_csv_summary_counts_each_verdict_per_claim():
+    """Claims in sorted order, whatever the row order; every verdict that is
+    neither holds nor violated counts as budget-exceeded."""
+    rows = [
+        ClaimResult(claim, f"i{k}", "=", {}, {}, verdict, True)
+        for k, (claim, verdict) in enumerate([
+            ("b/claim", "holds"),
+            ("a/claim", "violated"),
+            ("b/claim", "budget-exceeded"),
+            ("a/claim", "holds"),
+            ("b/claim", "holds"),
+            ("a/claim", "violated"),
+        ])
+    ]
+    assert csv_summary(rows) == (
+        "claim,instances,holds,violated,budget_exceeded\n"
+        "a/claim,3,1,2,0\n"
+        "b/claim,3,2,0,1\n"
+    )
+    assert csv_summary([]) == "claim,instances,holds,violated,budget_exceeded\n"
+
+
+def test_unknown_suite_is_a_value_error():
+    with pytest.raises(ValueError, match="unknown suite 'bogus'"):
+        run_suites("bogus")
 
 
 def test_every_row_equals_its_replay_from_scratch():
