@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from contextlib import nullcontext
 from dataclasses import replace
 from functools import cache
 from json.encoder import encode_basestring_ascii as _encode_str
@@ -99,10 +98,22 @@ def _json_text(obj) -> str:
 
 
 def _emit(text, out_path: str | None):
-    """Write ``text``, a string or an iterable of strings, to ``out_path`` or stdout."""
+    """Write ``text``, a string or an iterable of strings, to ``out_path`` or
+    stdout.  A reader that closes stdout early ends the writing quietly."""
     chunks = (text,) if isinstance(text, str) else text
-    with open(out_path, "w") if out_path else nullcontext(sys.stdout) as fh:
-        fh.writelines(chunks)
+    if out_path:
+        with open(out_path, "w") as fh:
+            fh.writelines(chunks)
+        return
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output is unwanted; stdout's buffer still holds
+        # some, so point it at devnull for the flush at interpreter shutdown
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _json_rows(rows):
@@ -111,10 +122,10 @@ def _json_rows(rows):
     Rows that differ only in ``instance`` form a group, which is encoded
     once: its first row builds the group's text with a ``_Slot`` for the
     instance, and every row puts its own encoded instance into each slot.
-    A group compares ``expected`` by its encoding and ``computed`` by
-    identity, as the exhaustive suite's findings share their class's dict;
-    ``rows`` keeps every ``computed`` dict alive while the rows are
-    written, so no two of them share an ``id``.
+    A group compares ``expected`` and ``computed`` by identity, as the
+    exhaustive suite's findings share their claim's ``expected`` dict and
+    their class's ``computed`` dict; ``rows`` keeps every dict alive while
+    the rows are written, so no two of them share an ``id``.
     """
     if not rows:
         yield _json_text([])
@@ -123,7 +134,7 @@ def _json_rows(rows):
     yield "[\n  "
     sep = ""
     for row in rows:
-        key = row.claim, row.relation, _dumps(row.expected), id(row.computed), row.verdict, row.hard
+        key = row.claim, row.relation, id(row.expected), id(row.computed), row.verdict, row.hard
         template = templates.get(key)
         if template is None:
             slotted = replace(row, instance=_Slot()).to_json_dict()
@@ -195,12 +206,15 @@ def _trace_table(g: Graph, trace) -> str:
 
 
 def _report_table(rep) -> str:
+    """The report's values, "unknown" where null; an exhausted budget adds
+    the closures spent and the lower bounds it reached."""
     d = rep.to_json_dict()
-    lines = [f"n = {d['n']}", f"m = {d['m']}"]
-    for key in ("z", "z_c", "pt", "PT", "pt_c", "PT_c"):
-        lines.append(f"{key} = {d[key]}")
-    lines.append(f"min ZFS count = {d['counts']['min_zfs']}")
-    lines.append(f"min CZFS count = {d['counts']['min_czfs']}")
+    rows = [(key, d[key]) for key in ("n", "m", "z", "z_c", "pt", "PT", "pt_c", "PT_c")]
+    rows += [("min ZFS count", d["counts"]["min_zfs"]), ("min CZFS count", d["counts"]["min_czfs"])]
+    lines = [f"{name} = {'unknown' if value is None else value}" for name, value in rows]
+    if rep.budget_exceeded:
+        lines.append(f"budget exhausted after {rep.closures} closures")
+        lines += [f"{key.removesuffix('_lower_bound')} >= {k}" for key, k in rep.lower_bounds.items()]
     return "\n".join(lines) + "\n"
 
 

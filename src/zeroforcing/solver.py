@@ -10,11 +10,7 @@ depends only on the size of the range the run's subsets come from; the
 row cache keeps the rows of at most a quarter run, and wider rows are
 built from them.  For connected sets the stream first keeps, per run,
 the sets that the bit-sliced connectivity kernel finds connected in
-components, and closes only those.  A run of at most ``_SCALAR_LEVEL``
-sets, such as every level of a graph on at most 6 vertices, builds no
-columns, since a kernel call costs more than those few sets: it walks the
-run's cached masks, tests each against g's component masks when only
-connected sets count, and closes each kept set with ``forcing._rounds``.
+components, and closes only those.
 ``_min_level`` is the one level search: first-hit queries stop at its
 first hit, drains read the whole level.
 
@@ -42,7 +38,7 @@ an exhausted budget reports.  A run is closed before its sets are charged,
 so a search stops within one run of the charge that exhausts its budget.
 The start-level step descends only when the budget left covers every set
 of the levels from the lower bound to U, and g has a level of more than
-``_SCALAR_LEVEL`` sets.  It charges each level below the minimum all of
+``_CLIMB_LEVEL`` sets.  It charges each level below the minimum all of
 its C(n, k) sets, as if closed, and nothing for the greedy bound (at most
 2n closures) and the probes above the minimum.  A covered search cannot
 run out, and a climbing all-sets search charges exactly that, so closures
@@ -63,8 +59,9 @@ from .graphs import Graph, components, connected_columns, meets_connected, verti
 DEFAULT_BUDGET = 10**8
 # sets per bit-sliced kernel call in the level stream
 _LEVEL_WIDTH = 65536
-# runs this small skip the kernel and evaluate set by set
-_SCALAR_LEVEL = 20
+# graphs whose widest level is this small climb, since the greedy bound and
+# probes cost more there
+_CLIMB_LEVEL = 20
 
 
 class BudgetExceeded(RuntimeError):
@@ -194,13 +191,6 @@ def _unrank_bits(n: int, run, bits: int):
         yield _unrank(n, run, low.bit_length() - 1)
 
 
-@lru_cache(maxsize=256)
-def _run_masks(n: int, run) -> tuple[int, ...]:
-    """Masks of a run's sets, in stream order; shared by every graph of
-    order n."""
-    return tuple(_unrank_bits(n, run, (1 << run[3]) - 1))
-
-
 def _run_columns(g: Graph, run, connected: bool) -> tuple[list[int], int]:
     """``(cols, ones)`` of one run of the level stream.
 
@@ -225,39 +215,17 @@ def _level_stream(g: Graph, k: int, connected: bool = False, closed=None):
     ``ones`` holds the run's sets in the stream (see ``_run_columns``);
     ``done`` is the per-round finished bitmap of the run's kept sets: bit j
     of ``done[t]`` says the run's j-th set forces g in exactly t rounds.
-    Runs of more than ``_SCALAR_LEVEL`` sets take both from the bit-sliced
-    kernels.  Smaller ones build no columns: they walk the run's cached
-    masks, test each against g's components with ``connected``, and close
-    each kept set with ``_rounds``.
     ``closed`` maps the runs of level k that hold a zero forcing set to
     their ``done`` over all k-sets.  With it the stream closes nothing and
     restricts those bitmaps to ``ones``: every column of the kernel evolves
     on its own, so a set's rounds do not depend on the other sets of its run.
     """
-    n, adj, full, comps = g.n, g.adj, g.full_mask, None
-    for run in _level_runs(n, k, _LEVEL_WIDTH):
-        if run[3] > _SCALAR_LEVEL:
-            cols, ones = _run_columns(g, run, connected)
-            if closed is None:
-                done = _batch_rounds(_shape(g)[0], cols, ones) if ones else [0]
-        else:
-            # a kernel call costs more than these few sets: go set by set
-            masks = _run_masks(n, run)
-            if connected:
-                comps = comps or components(g)
-                ones = sum(1 << j for j, m in enumerate(masks) if meets_connected(g, comps, m))
-            else:
-                ones = (1 << run[3]) - 1
-            if closed is None:
-                done = [0]
-                for j, m in enumerate(masks):
-                    if ones >> j & 1:
-                        black, t = _rounds(adj, full, m)
-                        if black == full:
-                            done.extend([0] * (t + 1 - len(done)))
-                            done[t] |= 1 << j
+    for run in _level_runs(g.n, k, _LEVEL_WIDTH):
+        cols, ones = _run_columns(g, run, connected)
         if closed is not None:
             done = _restrict(closed.get(run, (0,)), ones)
+        else:
+            done = _batch_rounds(_shape(g)[0], cols, ones) if ones else [0]
         yield run, ones, done
 
 
@@ -341,7 +309,7 @@ def _start_level(g: Graph, meter: _Meter, start: int, connected: bool):
     else it returns ``(start, False, None)`` and charges nothing.
     """
     n = g.n
-    if comb(n, n // 2) <= _SCALAR_LEVEL:
+    if comb(n, n // 2) <= _CLIMB_LEVEL:
         return start, False, None
     top = _greedy_set(g, connected).bit_count()
     if sum(comb(n, j) for j in range(start, top + 1)) > meter.limit - meter.used:

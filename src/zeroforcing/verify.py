@@ -527,10 +527,14 @@ def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
                     found.update(dict.fromkeys(orbit, bad[c]))
             summary = {"graphs": 1 << len(pairs), "violations": len(found)}
             verdict = "violated" if found else "holds"
-            out.append(ClaimResult(c, f"all-labeled(n={n})", relation, {}, summary, verdict, hard))
+            # one dict for the claim's rows of order n: the row writer groups by identity
+            expected = {}
+            out.append(ClaimResult(
+                c, f"all-labeled(n={n})", relation, expected, summary, verdict, hard
+            ))
             for code in sorted(found):
                 inst = f"edges:n={n};" + ",".join(words[i] for i in iter_vertices(code))
-                out.append(ClaimResult(c, inst, relation, {}, found[code], "violated", hard))
+                out.append(ClaimResult(c, inst, relation, expected, found[code], "violated", hard))
     return out
 
 

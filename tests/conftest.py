@@ -28,19 +28,20 @@ def graphs_with_sets(draw, min_n=1, max_n=8):
     return g, mask
 
 
-# (run width, scalar-run cutoff) of the level stream: narrow runs split a
-# level into many runs; cutoff 0 sends every run through the bit-sliced
-# kernels, and cutoff 7 at width 7 sends every run, prefixed ones included,
-# through the set-by-set path; 16,384, the width before 65,536, is the
-# narrow side of the wide-run differential tests in test_level_stream.py
+# (run width, start-level cutoff) of the search: narrow runs split a level
+# into many runs; the cutoff is ``_CLIMB_LEVEL``, so at 0 every graph runs
+# the start-level step, at 7 those of order 5 and more, and at 20 those of
+# order 7 and more; 16,384, the width before 65,536, is the narrow side of
+# the wide-run differential tests in test_level_stream.py.  The ids label
+# the cutoff "scalar".
 SETTINGS = [
-    (3, 0), (7, 0), (7, 7), (64, 20), (16384, 20), (solver._LEVEL_WIDTH, solver._SCALAR_LEVEL),
+    (3, 0), (7, 0), (7, 7), (64, 20), (16384, 20), (solver._LEVEL_WIDTH, solver._CLIMB_LEVEL),
 ]
 
 
 @pytest.fixture(params=SETTINGS, ids=lambda p: f"width{p[0]}-scalar{p[1]}")
 def stream_setting(request, monkeypatch):
-    width, scalar = request.param
+    width, climb = request.param
     monkeypatch.setattr(solver, "_LEVEL_WIDTH", width)
-    monkeypatch.setattr(solver, "_SCALAR_LEVEL", scalar)
+    monkeypatch.setattr(solver, "_CLIMB_LEVEL", climb)
     return request.param

@@ -36,10 +36,42 @@ def test_compute_cycle(capsys):
     assert doc["witnesses"]["z"] == [0, 1]
 
 
+STAR6_TABLE = """n = 6
+m = 5
+z = 4
+z_c = 5
+pt = 2
+PT = 2
+pt_c = 1
+PT_c = 1
+min ZFS count = 5
+min CZFS count = 5
+"""
+
+# the budget runs out on the 5 pt charges that follow the Z phase's 56 closures
+STAR6_TABLE_EXHAUSTED = """n = 6
+m = 5
+z = 4
+z_c = unknown
+pt = unknown
+PT = unknown
+pt_c = unknown
+PT_c = unknown
+min ZFS count = 5
+min CZFS count = unknown
+budget exhausted after 58 closures
+z_c >= 4
+"""
+
+
 def test_compute_table(capsys):
-    code, out, _ = run_cli(capsys, "compute", "star(6)", "--format", "table")
-    assert code == 0
-    assert "z = 4" in out and "z_c = 5" in out
+    """A finished run lists its values; an exhausted budget shows what it
+    knows: the unknown values, the closures spent and the lower bound that
+    the JSON report carries."""
+    for budget, want_code, want in ((10**8, 0, STAR6_TABLE), (58, 3, STAR6_TABLE_EXHAUSTED)):
+        argv = "compute", "star(6)", "--budget", str(budget), "--format", "table"
+        code, out, _ = run_cli(capsys, *argv)
+        assert (code, out) == (want_code, want)
 
 
 def test_trace_path(capsys):
@@ -324,6 +356,23 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["z"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["enumerate", "strong(cycle(6),path(4))"], ["verify", "--suite", "exhaustive", "--nmax", "6"]],
+    ids=" ".join,
+)
+def test_closed_stdout_is_not_an_error(argv):
+    """A reader that closes stdout after one line, as ``| head -n 1`` does,
+    leaves the verb's own exit code and nothing on stderr."""
+    with subprocess.Popen(
+        [sys.executable, "-m", "zeroforcing", *argv], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    ) as proc:
+        assert proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert (proc.returncode, err) == (0, b"")
 
 
 def test_malformed_budget_env_is_an_input_error(capsys, monkeypatch):

@@ -3,7 +3,7 @@
 The reference evaluates every k-subset on its own, in lexicographic order,
 with the scalar round loop ``_rounds``.  The
 stream must give the same hit list and the same pt for every hit, at every
-run width and with or without the small-run scalar path.
+run width, on random graphs and on every class of order at most 6.
 """
 
 import random
@@ -18,7 +18,7 @@ import zeroforcing.solver as solver
 from naive_oracle import min_forcing_sets, neighbor_sets, rounds_to_fill
 from zeroforcing.dsl import parse_graph_dsl
 from zeroforcing.forcing import _rounds
-from zeroforcing.graphs import mask_of, new_graph, relabel
+from zeroforcing.graphs import components, mask_of, meets_connected, new_graph, relabel
 from zeroforcing.solver import (
     BudgetExceeded,
     enumerate_min_zfs,
@@ -43,20 +43,22 @@ def reference_level(g, k):
     return out
 
 
+def decoded(g, run, done):
+    """[(mask, pt or None)] for each set of one run, in stream order."""
+    count = run[3]
+    pts = {}
+    for t, bits in enumerate(done):
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            pts[low.bit_length() - 1] = t
+    assert max(pts, default=-1) < count
+    return [(solver._unrank(g.n, run, j), pts.get(j)) for j in range(count)]
+
+
 def stream_level(g, k):
     """The level stream decoded into the reference's shape."""
-    out = []
-    for run, _, done in solver._level_stream(g, k):
-        count = run[3]
-        pts = {}
-        for t, bits in enumerate(done):
-            while bits:
-                low = bits & -bits
-                bits ^= low
-                pts[low.bit_length() - 1] = t
-        assert max(pts, default=-1) < count
-        out.extend((solver._unrank(g.n, run, j), pts.get(j)) for j in range(count))
-    return out
+    return [item for run, _, done in solver._level_stream(g, k) for item in decoded(g, run, done)]
 
 
 def reference_z(g):
@@ -154,23 +156,27 @@ def tiny_graphs():
             yield relabel(g, perm)
 
 
-def test_set_by_set_runs_match_the_kernels(monkeypatch):
-    """At cutoff 20 every run of a graph on at most 6 vertices goes set by
-    set, at cutoff 0 through the bit-sliced kernels; both yield the same
-    runs, kept sets and bitmaps on every level, with and without
-    ``connected`` and ``closed``."""
-
-    def stream(g, k, connected, scalar, closed=None):
-        monkeypatch.setattr(solver, "_SCALAR_LEVEL", scalar)
-        return list(solver._level_stream(g, k, connected, closed))
-
+def test_tiny_graph_runs_match_scalar_reference():
+    """On every level of a graph on at most 6 vertices the bit-sliced
+    kernels give the reference's kept sets and bitmaps: all k-sets, the
+    connected ones, and either restricted from a closed level."""
     for g in tiny_graphs():
+        comps = components(g)
         for k in range(g.n + 1):
-            closed = {run: done for run, _, done in stream(g, k, False, 0) if done[-1]}
+            reference = reference_level(g, k)
+            kept = {
+                False: [True] * len(reference),
+                True: [meets_connected(g, comps, m) for m, _ in reference],
+            }
+            closed = {run: done for run, _, done in solver._level_stream(g, k) if done[-1]}
             for connected in (False, True):
+                want = [(m, t if keep else None) for (m, t), keep in zip(reference, kept[connected])]
                 for with_closed in (None, closed):
-                    kernel = stream(g, k, connected, 0, with_closed)
-                    assert stream(g, k, connected, 20, with_closed) == kernel, (g, k)
+                    got, keeps = [], []
+                    for run, ones, done in solver._level_stream(g, k, connected, with_closed):
+                        keeps += [bool(ones >> j & 1) for j in range(run[3])]
+                        got += decoded(g, run, done)
+                    assert keeps == kept[connected] and got == want, (g, k, connected)
 
 
 def test_queries_match_scalar_reference(stream_setting):
@@ -484,7 +490,7 @@ def check_stops_within_one_run(g, log, samples):
         assert probed == [kept[i] for i in first]
         assert outside == [e for i, e in enumerate(kept) if i not in first]
         resumed += bool(probed)
-        assert exact == (limit >= threshold) and comb(g.n, g.n // 2) > solver._SCALAR_LEVEL
+        assert exact == (limit >= threshold) and comb(g.n, g.n // 2) > solver._CLIMB_LEVEL
         if exact:
             descended += 1
             charged = sum(c for kind, level, c in reference if kind == "charge" and level in skipped)
@@ -506,11 +512,10 @@ def test_budget_stops_within_one_run(stream_setting, monkeypatch):
     rnd = random.Random(31)
     for _ in range(3):
         check_stops_within_one_run(random_graph(rnd, rnd.randint(9, 11)), log, 10)
-    width, scalar = stream_setting
     for seed, n in ((10, 11), (25, 12)):
         g = gnp(seed, n, 0.3)
         assert solver._greedy_set(g, False).bit_count() > zero_forcing_number(g)[0]
-        assert check_stops_within_one_run(g, log, 10) or scalar >= width
+        assert check_stops_within_one_run(g, log, 10)
 
 
 def test_budget_stops_within_one_wide_run(monkeypatch):

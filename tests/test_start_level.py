@@ -65,11 +65,11 @@ def check_against_oracle(g):
     assert _min_size(g, solver.DEFAULT_BUDGET, True, z) == z_c
 
 
-@pytest.mark.parametrize("scalar", [solver._SCALAR_LEVEL, 0])
-def test_levels_are_upward_closed_and_witnesses_least(scalar, monkeypatch):
-    """Every class of order at most 7; with no scalar cutoff every graph of
+@pytest.mark.parametrize("climb", [solver._CLIMB_LEVEL, 0])
+def test_levels_are_upward_closed_and_witnesses_least(climb, monkeypatch):
+    """Every class of order at most 7; with no climb cutoff every graph of
     order at least 2 descends, at the shipped one those of order 7."""
-    monkeypatch.setattr(solver, "_SCALAR_LEVEL", scalar)
+    monkeypatch.setattr(solver, "_CLIMB_LEVEL", climb)
     for n in range(1, 8):
         for _, g in graph_classes(n):
             check_against_oracle(g)
