@@ -6,11 +6,11 @@ every witness and count reproducible.  One level stream serves both kinds
 of set: the k-sets of a level are closed in runs of up to ``_LEVEL_WIDTH``
 sets per call of the bit-sliced kernel, which also yields every set's
 propagation time.  A run's columns are a row of ``_pascal_row``, which
-depends only on the size of the range the run's subsets come from; the
-row cache keeps the rows of at most a quarter run, and wider rows are
-built from them.  For connected sets the stream first keeps, per run,
-the sets that the bit-sliced connectivity kernel finds connected in
-components, and closes only those.
+depends only on the size of the range the run's subsets come from; one
+row cache keeps the rows of at most a quarter run, and a small second
+one the last few wider rows, built from them.  For connected sets the
+stream first keeps, per run, the sets that the bit-sliced connectivity
+kernel finds connected in components, and closes only those.
 ``_min_level`` is the one level search: first-hit queries stop at its
 first hit, drains read the whole level.
 
@@ -18,11 +18,16 @@ A search from a known lower bound starts where ``_start_level`` says.
 The levels that hold a (connected) zero forcing set are the levels from
 the minimum to n, since every superset of a zero forcing set forces, and
 a connected one grows by a neighbouring vertex into a connected one.  So
-the step takes U, the size of a greedy such set, probes levels U - 1,
-U - 2, ... with first-hit scans, and stops at the first level without a
-hit, whose full scan proves the level above it minimum.  A search of that
-level resumes its probe's stream, so no run is closed twice.  The value query
-``_min_size`` returns that level and scans no level for a witness.
+the step takes U, the size of a greedy such set.  An all-sets search that
+drains its minimum level closes level U first: a (U - 1)-set that forces
+makes each of its one-vertex extensions force, so only the ``_survivors``
+of level U's hits can force, and if none of them does, U is the minimum
+and the drained level is the answer.  Otherwise, and for every other
+search, the step probes levels U - 1, U - 2, ... with first-hit scans,
+and stops at the first level without a hit, whose full scan proves the
+level above it minimum.  A search of that level resumes its probe's
+stream, so no run is closed twice.  The value query ``_min_size`` returns
+that level and scans no level for a witness.
 ``_run_phases`` is the one phase loop:
 it runs the Z phase and then, if asked, the connected one, for
 ``solve_report`` and ``propagation_extrema``.
@@ -38,11 +43,14 @@ an exhausted budget reports.  A run is closed before its sets are charged,
 so a search stops within one run of the charge that exhausts its budget.
 The start-level step descends only when the budget left covers every set
 of the levels from the lower bound to U, and g has a level of more than
-``_CLIMB_LEVEL`` sets.  It charges each level below the minimum all of
-its C(n, k) sets, as if closed, and nothing for the greedy bound (at most
-2n closures) and the probes above the minimum.  A covered search cannot
-run out, and a climbing all-sets search charges exactly that, so closures
-and lower bounds are those of climbing from the lower bound.
+``_CLIMB_LEVEL`` sets; it drains level U first only when the budget also
+covers the C(n, U) sets that a failed proof drains for nothing.  It
+charges each level below the minimum all of its C(n, k) sets, as if
+closed, and nothing for the greedy bound (at most 2n closures), the
+survivors of a proof, a wasted drain and the probes above the minimum.
+A covered search cannot run out, and a climbing all-sets search charges
+exactly that, so closures and lower bounds are those of climbing from
+the lower bound.
 Every search runs in the calling process.
 """
 
@@ -140,8 +148,8 @@ def _pascal_row(m: int, r: int, width: int) -> tuple[int, ...]:
     Entry v has bit j set when vertex v lies in the j-th subset.  The
     subsets that take 0 come first, then those that skip it.  The r-subsets
     of range(s, n) are those of range(n - s) shifted by s, so one row serves
-    every order n.  Rows of at most a quarter run are cached; a wider row is
-    rebuilt from them each time, so the cache holds no full-width row.
+    every order n.  Rows of at most a quarter run are kept in one cache,
+    wider rows in a second one that holds the last 4 of them.
     """
     if r == 0:
         return (0,) * m
@@ -156,17 +164,19 @@ def _pascal_row(m: int, r: int, width: int) -> tuple[int, ...]:
 
 
 _cached_row = lru_cache(maxsize=1024)(_pascal_row)
+# a wide row holds up to n words of a run; a solve builds the same few again
+# on every level it scans, and graphs of one order share them
+_wide_row = lru_cache(maxsize=4)(_pascal_row)
 
 
 def _row(m: int, r: int, width: int) -> tuple[int, ...]:
-    """``_pascal_row``, from the cache when at most a quarter run wide."""
-    return (_cached_row if 4 * comb(m, r) <= width else _pascal_row)(m, r, width)
+    """``_pascal_row``, from the cache for its width."""
+    return (_cached_row if 4 * comb(m, r) <= width else _wide_row)(m, r, width)
 
 
-@lru_cache(maxsize=8)
 def _shape(g: Graph):
     """Neighbor lists and ascending component vertex lists of g."""
-    return tuple(map(vertices_of, g.adj)), tuple(map(vertices_of, components(g)))
+    return g.shape
 
 
 def _unrank(n: int, run, j: int) -> int:
@@ -185,10 +195,13 @@ def _unrank(n: int, run, j: int) -> int:
 
 def _unrank_bits(n: int, run, bits: int):
     """Masks of the run's sets whose bits are set, in stream order."""
-    while bits:
-        low = bits & -bits
-        bits ^= low
-        yield _unrank(n, run, low.bit_length() - 1)
+    # the bits, lowest first, as text: ``bits & -bits`` would negate a
+    # whole run's int for every set
+    text = bin(bits)[:1:-1]
+    j = text.find("1")
+    while j >= 0:
+        yield _unrank(n, run, j)
+        j = text.find("1", j + 1)
 
 
 def _run_columns(g: Graph, run, connected: bool) -> tuple[list[int], int]:
@@ -245,7 +258,64 @@ def _hits(done: list[int]) -> int:
 
 
 def _lowest(bits: int) -> int:
-    return (bits & -bits).bit_length() - 1
+    return (bits ^ (bits - 1)).bit_length() - 1
+
+
+def _joined(parts) -> int:
+    """One bitmap from ``(bits, width)`` parts, the first part lowest.  Parts
+    are joined in pairs, so each bit moves about log2(len(parts)) times
+    rather than once per part after it."""
+    while len(parts) > 1:
+        odd = parts[-1:] if len(parts) % 2 else []
+        pairs = iter(parts)
+        parts = [(a | b << w, w + v) for (a, w), (b, v) in zip(pairs, pairs)] + odd
+    return parts[0][0] if parts else 0
+
+
+def _survivors(n: int, k: int, hits: int):
+    """The k-subsets of range(n) whose every one-vertex extension is a hit,
+    as masks in stream order; bit i of ``hits`` marks the i-th (k + 1)-subset.
+
+    The walk splits on one vertex s at a time.  A node holds the r-subsets
+    of range(s, n) joined with a prefix: ``alive`` marks those whose
+    extensions by the vertices below s are all hits, and ``above`` marks
+    the hits among the (r + 1)-subsets of range(s, n) joined with the same
+    prefix.  Both list the sets that take s first.  A set that skips s
+    extends by s to the set at its own position among the take-s hits.
+    """
+
+    def walk(s, prefix, r, alive, above):
+        if r == n - s:
+            yield prefix | (1 << n) - (1 << s)
+        elif not r:
+            if above == (1 << n - s) - 1:
+                yield prefix
+        else:
+            take, take_above = comb(n - s - 1, r - 1), comb(n - s - 1, r)
+            low = (1 << take_above) - 1
+            taking = alive & (1 << take) - 1
+            if taking:
+                yield from walk(s + 1, prefix | 1 << s, r - 1, taking, above & low)
+            skipping = alive >> take & above & low
+            if skipping:
+                yield from walk(s + 1, prefix, r, skipping, above >> take_above)
+
+    return walk(0, 0, k, (1 << comb(n, k)) - 1, hits)
+
+
+def _drained_minimum(g: Graph, k: int):
+    """Level k's closed ``_level_stream``, to replay, if level k - 1 holds
+    no zero forcing set, else None.
+
+    A (k - 1)-set that forces makes each of its extensions force, so only
+    the ``_survivors`` of level k's hits can; each is closed on its own.
+    The replay rebuilds ``ones``, all of a run's sets, from its count.
+    """
+    drained = [(run, done) for run, _, done in _level_stream(g, k)]
+    hits = _joined([(_hits(done), run[3]) for run, done in drained])
+    if any(_rounds(g.adj, g.full_mask, m)[0] == g.full_mask for m in _survivors(g.n, k - 1, hits)):
+        return None
+    return ((run, (1 << run[3]) - 1, done) for run, done in drained)
 
 
 def connected_in_components_sets(g: Graph, k: int) -> list[int]:
@@ -299,21 +369,32 @@ def _probe(g: Graph, k: int, connected: bool):
     return None
 
 
-def _start_level(g: Graph, meter: _Meter, start: int, connected: bool):
+def _start_level(g: Graph, meter: _Meter, start: int, connected: bool, drain: bool = False):
     """``(k, exact, stream)``: the level that a search from the lower bound
     ``start`` begins at, whether it is the minimum, and the stream of level
-    k that the last probe left (see ``_probe``), or None.  Under the
-    covering rule (see the module docstring) it descends from the greedy
-    bound and charges the C(n, j) sets of each level j below the minimum,
-    as a climbing all-sets search does (a connected one charges fewer);
-    else it returns ``(start, False, None)`` and charges nothing.
+    k that the step left (see ``_probe`` and ``_drained_minimum``), or None.
+    Under the covering rule (see the module docstring) it descends from the
+    greedy bound and charges the C(n, j) sets of each level j below the
+    minimum, as a climbing all-sets search does (a connected one charges
+    fewer); else it returns ``(start, False, None)`` and charges nothing.
+    With ``drain``, the caller drains level k, and an all-sets search first
+    tries to prove the greedy bound minimum from that level's own hits.
     """
     n = g.n
     if comb(n, n // 2) <= _CLIMB_LEVEL:
         return start, False, None
     top = _greedy_set(g, connected).bit_count()
-    if sum(comb(n, j) for j in range(start, top + 1)) > meter.limit - meter.used:
+    covering = sum(comb(n, j) for j in range(start, top + 1))
+    left = meter.limit - meter.used
+    if covering > left:
         return start, False, None
+    # a failed proof wastes the drain of level top, so the budget must
+    # cover it on top of the descent
+    if drain and not connected and top > start and covering + comb(n, top) <= left:
+        stream = _drained_minimum(g, top)
+        if stream is not None:
+            meter.charge(covering - comb(n, top))
+            return top, True, stream
     k, stream = top, None
     while k > start and (probe := _probe(g, k - 1, connected)):
         k, stream = k - 1, probe
@@ -356,7 +437,7 @@ def _enumerate_min(g: Graph, k: int | None, budget: int, connected: bool):
     """Drain the minimum level now, charged one per set in stream order
     from the lower bound on; return an iterator over that level's hits."""
     meter = _Meter(budget)
-    start, _, stream = _start_level(g, meter, _zfs_lower_bound(g), connected)
+    start, _, stream = _start_level(g, meter, _zfs_lower_bound(g), connected, drain=True)
     found = list(_min_level(g, meter, start, connected, stream))
     z = found[0][0]
     if k is not None and k != z:
@@ -526,7 +607,7 @@ def _run_phases(g: Graph, meter: _Meter, connected: bool, fields: dict, witnesse
     min-degree bound; the connected phase climbs from the level where the
     Z phase stopped, since Z <= Z_c, charging every connected set it
     passes."""
-    k, _, stream = _start_level(g, meter, _zfs_lower_bound(g), False)
+    k, _, stream = _start_level(g, meter, _zfs_lower_bound(g), False, drain=True)
     for phase in (False, True)[: 1 + connected]:
         name, _, value, count_key, (lo, hi), (wk, wlo, whi) = _PHASES[phase]
         found = list(_min_level(g, meter, k, phase, stream))

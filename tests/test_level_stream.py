@@ -398,12 +398,12 @@ def kernel_log(monkeypatch):
         log.append(("charge", level, count))
         charge(meter, count)
 
-    def step(g, meter, start, connected):
+    def step(g, meter, start, connected, drain=False):
         log.append(("step", start, None))
         if log.climb:
             k, exact, probed = start, False, None
         else:
-            k, exact, probed = start_level(g, meter, start, connected)
+            k, exact, probed = start_level(g, meter, start, connected, drain)
         log.append(("stepped", k, exact))
         return k, exact, probed
 
