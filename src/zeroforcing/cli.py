@@ -31,14 +31,12 @@ from .solver import (
     enumerate_min_zfs,
     solve_report,
 )
-from .verify import SUITES, csv_summary, has_hard_violations, run_suites
+from .verify import _NMAX_LIMIT, SUITES, csv_summary, has_hard_violations, run_suites
 
 EXIT_OK = 0
 EXIT_HARD_VIOLATION = 1
 EXIT_INPUT_ERROR = 2
 EXIT_BUDGET = 3
-# largest --nmax: at n = 8 the exhaustive suite writes 1,350,720 finding rows
-_NMAX_LIMIT = 7
 
 
 class SettingError(ValueError):

@@ -163,17 +163,3 @@ def parse_graph_dsl(text: str) -> Graph:
     if sc.pos != len(sc.text):
         raise ParseError("trailing input", sc.pos)
     return g
-
-
-def spec_to_dsl(spec: families.PCSpec) -> str:
-    """Render a PCSpec as a DSL term that re-parses to the same graph."""
-    body = "pc(" + ",".join(str(c) for c in spec.cycles) + ")"
-    chord_items = [
-        f"{i + 1}@{j}" for i, cl in enumerate(spec.chords) for j in cl
-    ]
-    if chord_items:
-        body += "[chords:" + ",".join(chord_items) + "]"
-    if spec.tail is not None:
-        t, m = spec.tail
-        body = f"vsum({body},{t - 1},path({m}),0)"
-    return body

@@ -174,11 +174,6 @@ def _row(m: int, r: int, width: int) -> tuple[int, ...]:
     return (_cached_row if 4 * comb(m, r) <= width else _wide_row)(m, r, width)
 
 
-def _shape(g: Graph):
-    """Neighbor lists and ascending component vertex lists of g."""
-    return g.shape
-
-
 def _unrank(n: int, run, j: int) -> int:
     """Mask of the j-th set of a run."""
     mask, x, r, _ = run
@@ -218,7 +213,7 @@ def _run_columns(g: Graph, run, connected: bool) -> tuple[list[int], int]:
     for v in vertices_of(prefix):
         cols[v] = ones
     if connected:
-        ones = connected_columns(*_shape(g), cols, ones)
+        ones = connected_columns(*g.shape, cols, ones)
     return cols, ones
 
 
@@ -238,7 +233,7 @@ def _level_stream(g: Graph, k: int, connected: bool = False, closed=None):
         if closed is not None:
             done = _restrict(closed.get(run, (0,)), ones)
         else:
-            done = _batch_rounds(_shape(g)[0], cols, ones) if ones else [0]
+            done = _batch_rounds(g.shape[0], cols, ones) if ones else [0]
         yield run, ones, done
 
 

@@ -25,10 +25,11 @@ value queries, which find no witness.
 
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
-via ``replay_claim``.  Claims marked hard are exact statements the suite
-requires; as-stated claims reproduce a printed statement verbatim and may
-log findings without failing the run (some printed statements carry
-unstated hypotheses, and the findings document exactly where).
+via ``replay_claim``; a summary row replays by re-running its order.
+Claims marked hard are exact statements the suite requires; as-stated
+claims reproduce a printed statement verbatim and may log findings without
+failing the run (some printed statements carry unstated hypotheses, and
+the findings document exactly where).
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from . import families
 from .dsl import parse_graph_dsl
 from .graphs import Graph, GraphError, certificate, components, connected_certificate
 from .graphs import is_connected, is_path_graph, iter_vertices, mask_of, new_graph
@@ -87,11 +87,6 @@ def graph_from_instance(desc: str) -> Graph:
     except ValueError:  # also more digits than int() converts
         raise GraphError(f"malformed instance descriptor {desc!r}") from None
     return new_graph(n, zip(ends[::2], ends[1::2]))
-
-
-def graph_to_instance(g: Graph) -> str:
-    """The descriptor ``edges:n=N;u-v,...`` that ``graph_from_instance`` reads."""
-    return f"edges:n={g.n};" + ",".join(f"{u}-{v}" for u, v in g.edges())
 
 
 class _Solved:
@@ -282,8 +277,19 @@ def _check(claim: str, instance: str, expected: dict, solved: _Solved | None = N
 
 
 def replay_claim(result: ClaimResult) -> ClaimResult:
-    """Re-run a single claim instance from scratch."""
-    return _check(result.claim, result.instance, result.expected)
+    """Re-run a single claim instance from scratch.  A summary row,
+    ``all-labeled(n=N)``, re-runs the exhaustive suite to order N and
+    returns that run's row for its claim; an order outside
+    1..``_NMAX_LIMIT`` raises GraphError."""
+    if not result.instance.startswith("all-labeled"):
+        return _check(result.claim, result.instance, result.expected)
+    orders = {f"all-labeled(n={n})": n for n in range(1, _NMAX_LIMIT + 1)}
+    if result.instance not in orders or result.claim not in _EXHAUSTIVE_CLAIMS:
+        raise GraphError(
+            f"{result.instance!r} is no summary of {result.claim!r} of order 1..{_NMAX_LIMIT}"
+        )
+    rows = exhaustive_small_graphs(orders[result.instance])
+    return next(r for r in rows if (r.claim, r.instance) == (result.claim, result.instance))
 
 
 def _partitions(total: int, max_part: int | None = None):
@@ -495,6 +501,10 @@ def _violated_claims(solved: _Solved, g: Graph, cert: tuple) -> dict[str, dict]:
             if not CLAIMS[c][1]({}, computed):
                 out[c] = computed
     return out
+
+
+# largest order of the exhaustive suite: at n = 8 it writes 1,350,720 finding rows
+_NMAX_LIMIT = 7
 
 
 def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:

@@ -28,12 +28,13 @@ def graphs_with_sets(draw, min_n=1, max_n=8):
     return g, mask
 
 
-# (run width, start-level cutoff) of the search: narrow runs split a level
-# into many runs; the cutoff is ``_CLIMB_LEVEL``, so at 0 every graph runs
-# the start-level step, at 7 those of order 5 and more, and at 20 those of
-# order 7 and more; 16,384, the width before 65,536, is the narrow side of
-# the wide-run differential tests in test_level_stream.py.  The ids label
-# the cutoff "scalar".
+# (run width, climb cutoff) of the search: narrow runs split a level into
+# many runs; the cutoff is ``_CLIMB_LEVEL``, under which a graph climbs from
+# its lower bound, so at 0 every graph runs the start-level step, at 7 those
+# of order 5 and more, and at 20 those of order 7 and more; 16,384, the
+# width before 65,536, is the narrow side of the wide-run differential tests
+# in test_level_stream.py.  The ids still write the cutoff as "scalar{c}",
+# after its old name ``_SCALAR_LEVEL``.
 SETTINGS = [
     (3, 0), (7, 0), (7, 7), (64, 20), (16384, 20), (solver._LEVEL_WIDTH, solver._CLIMB_LEVEL),
 ]

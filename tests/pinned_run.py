@@ -1,13 +1,13 @@
 """Run one ``zf`` command in this process and check it against its pins.
 
-Usage: PYTHONPATH=src python tests/pinned_run.py MAX_RSS_MB SHA256 ZF_ARG...
+Usage: PYTHONPATH=src python tests/pinned_run.py [--exit CODE] MAX_RSS_MB SHA256 ZF_ARG...
 
 The command writes its output to a temporary file through ``--out``.  The
-run fails when the command exits non-zero, when the process's peak resident
-set size exceeds MAX_RSS_MB, or when the output's sha256 digest is not
-SHA256.  A run that stops early peaks low, so the exit code is checked too.
-The elapsed seconds are printed for the record and not checked.  pytest
-does not collect this file.
+run fails when the command exits with another code than CODE (default 0),
+when the process's peak resident set size exceeds MAX_RSS_MB, or when the
+output's sha256 digest is not SHA256.  A run that stops early peaks low,
+so the exit code is checked too.  The elapsed seconds are printed for the
+record and not checked.  pytest does not collect this file.
 """
 
 import os
@@ -20,6 +20,9 @@ from zeroforcing import cli
 
 
 def main(argv) -> int:
+    expected = 0
+    if argv[:1] == ["--exit"]:
+        expected, argv = int(argv[1]), argv[2:]
     bound, digest, *command = argv
     with tempfile.TemporaryDirectory() as tmp:
         out = os.path.join(tmp, "out")
@@ -28,7 +31,7 @@ def main(argv) -> int:
         elapsed = time.perf_counter() - began
         peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         print(f"exit code {code}, {elapsed:.1f} s, peak RSS {peak_mb:.0f} MB (bound {bound} MB)")
-        if code != 0 or peak_mb > float(bound):
+        if code != expected or peak_mb > float(bound):
             return 1
         # imported after the measurement: loading OpenSSL adds about 4 MB
         import hashlib

@@ -112,7 +112,7 @@ def test_connectivity_kernel_ignores_bits_outside_ones(g, data):
     masks = data.draw(st.lists(st.integers(1, g.full_mask), min_size=1, max_size=40))
     ones = data.draw(st.integers(0, (1 << len(masks)) - 1))
     cols = [sum(1 << j for j, m in enumerate(masks) if m >> v & 1) for v in range(g.n)]
-    nbrs, comps = solver._shape(g)
+    nbrs, comps = g.shape
     got = connected_columns(nbrs, comps, cols, ones)
     assert got == connected_columns(nbrs, comps, [c & ones for c in cols], ones)
     expected = sum(

@@ -2,7 +2,8 @@ import sys
 
 import pytest
 
-from zeroforcing.dsl import ParseError, parse_graph_dsl, spec_to_dsl
+from writers import spec_to_dsl
+from zeroforcing.dsl import ParseError, parse_graph_dsl
 from zeroforcing.families import PCSpec, corona, cycle, path, pc_graph
 from zeroforcing.graphs import CapacityExceeded, are_isomorphic
 

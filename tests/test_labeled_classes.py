@@ -16,6 +16,7 @@ from math import comb, factorial
 
 import naive_oracle
 import pytest
+from writers import graph_to_instance
 
 import zeroforcing.verify as verify
 from zeroforcing.families import cartesian, complete, complete_multipartite, cycle, star
@@ -38,7 +39,6 @@ from zeroforcing.verify import (
     _orbit_codes,
     exhaustive_small_graphs,
     graph_classes,
-    graph_to_instance,
 )
 
 # OEIS A000088: graphs on n unlabeled vertices, n = 0..8

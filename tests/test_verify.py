@@ -1,5 +1,6 @@
 import pytest
 
+from writers import graph_to_instance
 from zeroforcing.graphs import GraphError, new_graph
 from zeroforcing.verify import (
     ClaimResult,
@@ -9,7 +10,6 @@ from zeroforcing.verify import (
     exhaustive_small_graphs,
     graph_classes,
     graph_from_instance,
-    graph_to_instance,
     has_hard_violations,
     replay_claim,
     run_suites,
@@ -109,6 +109,22 @@ def test_finding_rows_describe_the_graph_they_checked():
         listed.setdefault((r.claim, certificate(g)), set()).add(r.instance)
     assert listed == orbits
     assert len({(r.claim, r.instance) for r in findings}) == len(findings)
+
+
+def test_summary_rows_replay_by_rerunning_their_order():
+    rows = run_suites(suite="exhaustive", nmax=5)
+    summaries = [r for r in rows if r.instance.startswith("all-labeled")]
+    assert len(summaries) == 4 * 5
+    assert any(r.verdict == "violated" for r in summaries)
+    for r in summaries:
+        assert replay_claim(r) == r
+    r = summaries[0]
+    for instance in ["all-labeled(n=0)", "all-labeled(n=8)", "all-labeled(n=x)",
+                     "all-labeled(n=05)", "all-labeled(n=5"]:
+        with pytest.raises(GraphError):
+            replay_claim(ClaimResult(r.claim, instance, r.relation, {}, {}, "holds", r.hard))
+    with pytest.raises(GraphError):
+        replay_claim(ClaimResult("named/path", r.instance, r.relation, {}, {}, "holds", r.hard))
 
 
 def test_exhaustive_verdicts_relabeling_invariant():
