@@ -4,7 +4,8 @@ A black vertex with exactly one white neighbor forces that neighbor black.
 Two loops run the rule in simultaneous rounds: ``_rounds`` on one coloring
 to its (unique) fixpoint, and ``_batch_rounds`` on many colorings at once,
 bit-sliced.  Traces name each round's forcers from ``_rounds``' record of
-the vertices it turned black.
+the vertices it turned black, and ``replay_trace`` checks a trace against
+that record.
 """
 
 from __future__ import annotations
@@ -180,30 +181,23 @@ def propagation_time(g: Graph, black: int) -> int:
 
 
 def replay_trace(g: Graph, trace: ForcingTrace) -> bool:
-    """Re-validate every force of a trace against the color-change rule."""
+    """Check a trace against the rounds ``_rounds`` runs from its initial
+    set: as many rounds, each listing every vertex that round turns black
+    once, each forced by a black vertex whose one white neighbor it is, and
+    the run's ``final`` and ``pt``."""
     if trace.initial & ~g.full_mask:
         return False
-    black = trace.initial
-    seen_forced = 0
-    for rnd in trace.rounds:
-        add = 0
-        for u, v in rnd:
-            if not (0 <= u < g.n and 0 <= v < g.n):
-                return False
-            if not black >> u & 1 or black >> v & 1:
-                return False
-            white = g.adj[u] & ~black
-            if white != 1 << v:
-                return False
-            if seen_forced >> v & 1:
-                return False
-            add |= 1 << v
-            seen_forced |= 1 << v
-        if not add:
-            return False
-        black |= add
-    if black != trace.final:
+    added: list[int] = []
+    final, rounds = _rounds(g.adj, g.full_mask, trace.initial, added)
+    pt = rounds if final == g.full_mask else None
+    if (trace.final, trace.pt, len(trace.rounds)) != (final, pt, len(added)):
         return False
-    if trace.pt is not None:
-        return trace.final == g.full_mask and trace.pt == len(trace.rounds)
-    return trace.final != g.full_mask
+    black = trace.initial
+    for rnd, add in zip(trace.rounds, added):
+        if sorted(v for _, v in rnd) != list(iter_vertices(add)):
+            return False
+        for u, v in rnd:
+            if not (0 <= u < g.n and black >> u & 1 and g.adj[u] & ~black == 1 << v):
+                return False
+        black |= add
+    return True

@@ -25,7 +25,7 @@ value queries, which find no witness.
 
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
-via ``replay_claim``; a summary row replays by re-running its order.
+via ``replay_claim``; a summary row replays by re-running its order alone.
 Claims marked hard are exact statements the suite requires; as-stated
 claims reproduce a printed statement verbatim and may log findings without
 failing the run (some printed statements carry unstated hypotheses, and
@@ -277,10 +277,12 @@ def _check(claim: str, instance: str, expected: dict, solved: _Solved | None = N
 
 
 def replay_claim(result: ClaimResult) -> ClaimResult:
-    """Re-run a single claim instance from scratch.  A summary row,
-    ``all-labeled(n=N)``, re-runs the exhaustive suite to order N and
-    returns that run's row for its claim; an order outside
-    1..``_NMAX_LIMIT`` raises GraphError."""
+    """Re-run a single claim instance from scratch; a summary row,
+    ``all-labeled(n=N)``, re-runs order N alone (``_order_rows``).  A claim
+    outside ``CLAIMS``, and a summary of another claim or of an order
+    outside 1..``_NMAX_LIMIT``, raise GraphError."""
+    if result.claim not in CLAIMS:
+        raise GraphError(f"unknown claim {result.claim!r}")
     if not result.instance.startswith("all-labeled"):
         return _check(result.claim, result.instance, result.expected)
     orders = {f"all-labeled(n={n})": n for n in range(1, _NMAX_LIMIT + 1)}
@@ -288,7 +290,7 @@ def replay_claim(result: ClaimResult) -> ClaimResult:
         raise GraphError(
             f"{result.instance!r} is no summary of {result.claim!r} of order 1..{_NMAX_LIMIT}"
         )
-    rows = exhaustive_small_graphs(orders[result.instance])
+    rows = _order_rows(orders[result.instance])
     return next(r for r in rows if (r.claim, r.instance) == (result.claim, result.instance))
 
 
@@ -507,45 +509,44 @@ def _violated_claims(solved: _Solved, g: Graph, cert: tuple) -> dict[str, dict]:
 _NMAX_LIMIT = 7
 
 
-def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
-    """Run the exhaustive checks over every labeled graph on 1..n_max vertices.
-
-    The claims read only isomorphism invariants, so each class of
-    ``graph_classes`` is evaluated once.  Produces one summary row per
-    (claim, n) plus one violated row per labeled counterexample: the
-    relabelings of the violating classes, in code order, each with its
-    class's computed fields.  A class whose report runs out of budget
-    leaves every summary open, so ``BudgetExceeded`` stops the suite.
-    """
+def _order_rows(n: int) -> list[ClaimResult]:
+    """The exhaustive rows of order n, each class of ``graph_classes``
+    evaluated once: per claim, a summary row, then the relabelings of its
+    violating classes in code order, each with its class's computed fields."""
+    solved = _Solved()
+    pairs = list(combinations(range(n), 2))
+    violated = []
+    for cert, g in graph_classes(n):
+        bad = _violated_claims(solved, g, cert)
+        if bad:
+            violated.append((bad, _orbit_codes(g, pairs)))
+    words = [f"{u}-{v}" for u, v in pairs]
     out = []
-    for n in range(1, n_max + 1):
-        # one table per order, dropped when n is done
-        solved = _Solved()
-        pairs = list(combinations(range(n), 2))
-        violated = []
-        for cert, g in graph_classes(n):
-            bad = _violated_claims(solved, g, cert)
-            if bad:
-                violated.append((bad, _orbit_codes(g, pairs)))
-        words = [f"{u}-{v}" for u, v in pairs]
-        for c in _EXHAUSTIVE_CLAIMS:
-            _, _, relation, hard = CLAIMS[c]
-            # edge code (bit i selects pairs[i]) -> its class's computed fields
-            found = {}
-            for bad, orbit in violated:
-                if c in bad:
-                    found.update(dict.fromkeys(orbit, bad[c]))
-            summary = {"graphs": 1 << len(pairs), "violations": len(found)}
-            verdict = "violated" if found else "holds"
-            # one dict for the claim's rows of order n: the row writer groups by identity
-            expected = {}
-            out.append(ClaimResult(
-                c, f"all-labeled(n={n})", relation, expected, summary, verdict, hard
-            ))
-            for code in sorted(found):
-                inst = f"edges:n={n};" + ",".join(words[i] for i in iter_vertices(code))
-                out.append(ClaimResult(c, inst, relation, expected, found[code], "violated", hard))
+    for c in _EXHAUSTIVE_CLAIMS:
+        _, _, relation, hard = CLAIMS[c]
+        # edge code (bit i selects pairs[i]) -> its class's computed fields
+        found = {}
+        for bad, orbit in violated:
+            if c in bad:
+                found.update(dict.fromkeys(orbit, bad[c]))
+        summary = {"graphs": 1 << len(pairs), "violations": len(found)}
+        verdict = "violated" if found else "holds"
+        # one dict for the claim's rows of order n: the row writer groups by identity
+        expected = {}
+        out.append(ClaimResult(
+            c, f"all-labeled(n={n})", relation, expected, summary, verdict, hard
+        ))
+        for code in sorted(found):
+            inst = f"edges:n={n};" + ",".join(words[i] for i in iter_vertices(code))
+            out.append(ClaimResult(c, inst, relation, expected, found[code], "violated", hard))
     return out
+
+
+def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
+    """Run the exhaustive checks over every labeled graph on 1..n_max
+    vertices, order by order.  A class whose report runs out of budget
+    leaves every summary open, so ``BudgetExceeded`` stops the suite."""
+    return [row for n in range(1, n_max + 1) for row in _order_rows(n)]
 
 
 # suite name -> its rows for a largest order ``nmax``, in run order

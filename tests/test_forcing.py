@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -106,6 +107,15 @@ def test_replay_rejects_ids_outside_the_graph():
     assert replay_trace(g, ForcingTrace(1, (((0, 1),), ((1, 2),)), 7, 2))
 
 
+def test_replay_rejects_rounds_that_are_not_the_rules():
+    g = path(4)
+    # {0, 3} forces 1 and 2 in one round: pt is 1, not 2
+    assert not replay_trace(g, ForcingTrace(0b1001, (((0, 1),), ((3, 2),)), 0b1111, 2))
+    assert replay_trace(g, ForcingTrace(0b1001, (((0, 1), (3, 2)),), 0b1111, 1))
+    # {0} forces all of path(4): a trace that stops at once is no run of the rule
+    assert not replay_trace(g, ForcingTrace(0b0001, (), 0b0001, None))
+
+
 def test_propagation_time():
     g = path(7)
     assert propagation_time(g, mask_of([0])) == 6
@@ -147,6 +157,32 @@ def test_closure_monotone(gm, data):
 def test_trace_replays(gm):
     g, b = gm
     assert replay_trace(g, propagation_trace(g, b))
+
+
+@given(graphs_with_sets(), st.data())
+def test_replay_rejects_split_and_cut_rounds(gm, data):
+    """A trace replays only with the rule's own rounds: a round split in two
+    or a run cut before its fixpoint is rejected, while the order of the
+    pairs within a round is free."""
+    g, b = gm
+    trace = propagation_trace(g, b)
+    rounds = trace.rounds
+    assert replay_trace(g, trace)
+    if not rounds:
+        return
+    t = data.draw(st.integers(min_value=0, max_value=len(rounds) - 1))
+    flipped = rounds[:t] + (rounds[t][::-1],) + rounds[t + 1:]
+    assert replay_trace(g, replace(trace, rounds=flipped))
+    cut = rounds[:-1]
+    reached = b | mask_of(v for rnd in cut for _, v in rnd)
+    assert not replay_trace(g, ForcingTrace(b, cut, reached, None))
+    wide = [t for t, rnd in enumerate(rounds) if len(rnd) >= 2]
+    if wide:
+        t = data.draw(st.sampled_from(wide))
+        j = data.draw(st.integers(min_value=1, max_value=len(rounds[t]) - 1))
+        split = rounds[:t] + (rounds[t][:j], rounds[t][j:]) + rounds[t + 1:]
+        pt = None if trace.pt is None else trace.pt + 1
+        assert not replay_trace(g, replace(trace, rounds=split, pt=pt))
 
 
 @given(graphs_with_sets())

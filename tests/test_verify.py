@@ -127,6 +127,19 @@ def test_summary_rows_replay_by_rerunning_their_order():
         replay_claim(ClaimResult("named/path", r.instance, r.relation, {}, {}, "holds", r.hard))
 
 
+def test_replay_of_an_unknown_claim_is_a_graph_error():
+    with pytest.raises(GraphError):
+        replay_claim(ClaimResult("no/such-claim", "path(3)", "=", {}, {}, "holds", True))
+
+
+def test_summary_replay_solves_only_its_own_order(monkeypatch):
+    row = next(r for r in exhaustive_small_graphs(5) if r.instance == "all-labeled(n=5)")
+    calls = count_solves(monkeypatch)
+    assert replay_claim(row) == row
+    assert calls == [(g, "report") for _, g in graph_classes(5)]
+    assert len(calls) == 34
+
+
 def test_exhaustive_verdicts_relabeling_invariant():
     import random
 
