@@ -322,18 +322,23 @@ def _refine(adj, cells: list[int], queue: list[int]) -> list[int]:
     be uniform.  The order of the result does not depend on vertex labels.
     """
     for w in queue:
-        near = 0
-        for u in iter_vertices(w):
-            near |= adj[u]
+        near, left = 0, w
+        while left:
+            low = left & -left
+            near |= adj[low.bit_length() - 1]
+            left ^= low
         out = []
         for c in cells:
             hit = c & near
             if hit and c & (c - 1):
                 # vertices of c outside ``near`` have no neighbor in w
                 groups = {0: c ^ hit} if hit != c else {}
-                for v in iter_vertices(hit):
-                    k = (adj[v] & w).bit_count()
-                    groups[k] = groups.get(k, 0) | 1 << v
+                left = hit
+                while left:
+                    low = left & -left
+                    k = (adj[low.bit_length() - 1] & w).bit_count()
+                    groups[k] = groups.get(k, 0) | low
+                    left ^= low
                 if len(groups) > 1:
                     pieces = [groups[k] for k in sorted(groups)]
                     out += pieces
@@ -363,18 +368,25 @@ def _greatest_code(adj, cells: list[int], queue: list[int]) -> int:
         code = 0
         for v in order:
             code <<= n
-            for u in iter_vertices(adj[v]):
-                code |= bit[u]
+            row = adj[v]
+            while row:
+                low = row & -row
+                code |= bit[low.bit_length() - 1]
+                row ^= low
         return code
-    c, best, tried = cells[i], -1, 0
-    for v in iter_vertices(c):
+    c, best, tried = cells[i], -1, []
+    left = c
+    while left:
+        low = left & -left
+        left ^= low
+        v = low.bit_length() - 1
         # swapping twins is an automorphism that keeps every cell, so a twin
         # of a tried vertex roots a subtree with the same codes
-        if any(adj[u] & ~(1 << v) == adj[v] & ~(1 << u) for u in iter_vertices(tried)):
+        if any(adj[u] & ~low == adj[v] & ~(1 << u) for u in tried):
             continue
-        tried |= 1 << v
-        branch = cells[:i] + [1 << v, c ^ 1 << v] + cells[i + 1 :]
-        best = max(best, _greatest_code(adj, branch, [1 << v]))
+        tried.append(v)
+        branch = cells[:i] + [low, c ^ low] + cells[i + 1 :]
+        best = max(best, _greatest_code(adj, branch, [low]))
     return best
 
 
@@ -383,6 +395,15 @@ def connected_certificate(adj, comp: int) -> tuple:
     with adjacency rows ``adj``, computed in place: ``(|comp|, code)``, the
     same as the certificate of the induced subgraph relabeled in id order."""
     return comp.bit_count(), _greatest_code(adj, [comp], [comp])
+
+
+def canonical_graph(cert: tuple) -> Graph:
+    """The connected graph that the connected certificate ``cert`` writes:
+    vertex p is the leaf's p-th vertex, so its certificate is ``cert``."""
+    n, code = cert
+    full = (1 << n) - 1
+    # the leaf's rows in order, the first in the highest n bits
+    return Graph(n, tuple(code >> n * (n - 1 - p) & full for p in range(n)))
 
 
 def certificate(g: Graph) -> tuple:

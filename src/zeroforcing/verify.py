@@ -12,7 +12,11 @@ evaluated once per isomorphism class (``graph_classes``): the connected
 classes come from augmentation, deduped by certificate, and the
 disconnected ones are built as unions of connected ones.  Each class
 carries its certificate, which the extremal-shape recognizer reads instead
-of searching again.  The findings are the relabelings of each violating
+of searching again.  Only connected classes are solved, by the union rule:
+no force crosses a component and a component with no black vertex stays
+white, so a union's (connected) zero forcing sets are one of each part,
+run side by side, and its Z and Z_c are its parts' sums and its pt_c and
+PT_c their greatest.  The findings are the relabelings of each violating
 class, and each carries its class's computed fields under its own
 ``edges:`` descriptor.
 ``replay_claim`` recomputes a finding from its own labeled graph, so label
@@ -20,8 +24,8 @@ invariance is tested, not assumed.  A suite call solves each distinct graph
 at most once: a per-run table (``_Solved``) holds the values that every
 claim row and expected value reads, by name (Z, Z_c, pt_c, PT_c and the
 recognizer's entry).  A class representative's claims read one solve
-report and one recognizer lookup, and the named and product rows Z and Z_c
-value queries, which find no witness.
+report, or its parts' numbers, and one recognizer lookup, and the named
+and product rows Z and Z_c value queries, which find no witness.
 
 Each check produces ClaimResult rows.  Violations are first-class data:
 they carry a standalone instance descriptor and replay deterministically
@@ -41,8 +45,8 @@ from functools import lru_cache, partial
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from .dsl import parse_graph_dsl
-from .graphs import Graph, GraphError, certificate, components, connected_certificate
-from .graphs import is_connected, is_path_graph, iter_vertices, mask_of, new_graph
+from .graphs import Graph, GraphError, canonical_graph, certificate, components
+from .graphs import connected_certificate, is_path_graph, mask_of, new_graph
 from .recognize import _lookup
 from .solver import DEFAULT_BUDGET, BudgetExceeded, _min_size, _zfs_lower_bound, solve_report
 
@@ -89,6 +93,11 @@ def graph_from_instance(desc: str) -> Graph:
     return new_graph(n, zip(ends[::2], ends[1::2]))
 
 
+# the report's numbers that claims read, and how a union's follow from its parts'
+_NUMBERS = ("z", "z_c", "pt_c", "PT_c")
+_UNION_RULE = (sum, sum, max, max)
+
+
 class _Solved:
     """The values that claim rows read, by name: Z ("z"), Z_c ("z_c"), pt_c
     ("pt_c"), PT_c ("PT_c") and the extremal-shape recognizer's entry
@@ -96,8 +105,14 @@ class _Solved:
     descriptors parsed once.  Each kind of row fills the table from its own
     search, at most once per graph and search:
 
-    - ``solve`` merges all four numbers of g from one ``solve_report``, and
-      an exhaustive class's certificate ("certificate"), into g's entry;
+    - ``solve`` merges all four numbers of g from one ``solve_report`` into
+      g's entry;
+    - ``solve_class`` merges an exhaustive class's four numbers and its
+      certificate ("certificate") into its representative's entry.  It
+      solves only connected classes, each once per ``classes`` table, a
+      missing part on first use.  A union's Z and Z_c are its parts' sums
+      and its pt_c and PT_c their greatest: its (connected) zero forcing
+      sets are one of each part, and the parts force side by side;
     - Z is a value query (``solver._min_size``) from the min-degree bound,
       and Z_c one from Z: every connected zero forcing set forces, so
       Z <= Z_c.  Neither needs a witness;
@@ -108,12 +123,15 @@ class _Solved:
 
     The table stores no unknown value: a search that runs out raises
     ``BudgetExceeded``.  The caller owns the table and drops it with the
-    run; ``replay_claim`` starts from an empty one.
+    run; ``replay_claim`` starts from an empty one.  The exhaustive suite
+    passes one ``classes`` table, connected certificate -> numbers, from
+    order to order.
     """
 
-    def __init__(self):
+    def __init__(self, classes: dict[tuple, tuple[int, ...]] | None = None):
         self._values: dict[Graph, dict[str, int]] = {}
         self._graphs: dict[str, Graph] = {}
+        self._classes = {} if classes is None else classes
 
     def graph(self, instance: str) -> Graph:
         g = self._graphs.get(instance)
@@ -121,17 +139,28 @@ class _Solved:
             g = self._graphs[instance] = graph_from_instance(instance)
         return g
 
-    def solve(self, g: Graph, certificate: tuple | None = None):
-        """Merge g's four numbers from one ``solve_report``, and ``certificate``
-        if given, into g's entry; an exhausted report raises ``BudgetExceeded``."""
+    def solve(self, g: Graph) -> tuple[int, ...]:
+        """Merge g's four numbers from one ``solve_report`` into g's entry and
+        return them; an exhausted report raises ``BudgetExceeded``."""
         rep = solve_report(g, DEFAULT_BUDGET)
         if rep.budget_exceeded:
             message = f"budget of {DEFAULT_BUDGET} closure evaluations exhausted"
             raise BudgetExceeded(message, rep.closures, rep.lower_bounds)
-        numbers = {"z": rep.z, "z_c": rep.z_c, "pt_c": rep.ptc_min, "PT_c": rep.ptc_max}
-        if certificate is not None:
-            numbers["certificate"] = certificate
-        self._values.setdefault(g, {}).update(numbers)
+        numbers = rep.z, rep.z_c, rep.ptc_min, rep.ptc_max
+        self._values.setdefault(g, {}).update(zip(_NUMBERS, numbers))
+        return numbers
+
+    def solve_class(self, g: Graph, cert: tuple):
+        """Merge the four numbers of the class whose certificate is ``cert``,
+        and ``cert``, into the entry of its representative g."""
+        # a connected class's certificate is (n, code), a union's its parts'
+        parts = (cert,) if isinstance(cert[0], int) else cert
+        for part in parts:
+            if part not in self._classes:
+                self._classes[part] = self.solve(g if part is cert else canonical_graph(part))
+        columns = zip(*(self._classes[part] for part in parts))
+        numbers = [rule(column) for rule, column in zip(_UNION_RULE, columns)]
+        self._values.setdefault(g, {}).update(zip(_NUMBERS, numbers), certificate=cert)
 
     def value(self, g: Graph, key: str):
         """The value named ``key`` of g, searched for on first use."""
@@ -492,10 +521,10 @@ def _orbit_codes(g: Graph, pairs) -> set[int]:
 
 def _violated_claims(solved: _Solved, g: Graph, cert: tuple) -> dict[str, dict]:
     """The computed fields of each exhaustive claim that g violates, read
-    off one report and one recognizer entry of g, whose certificate is
-    ``cert``."""
-    solved.solve(g, certificate=cert)
-    connected = is_connected(g)
+    off the numbers of its class (``_Solved.solve_class``) and one
+    recognizer entry of g, whose certificate is ``cert``."""
+    solved.solve_class(g, cert)
+    connected = isinstance(cert[0], int)  # (n, code); a union's lists its parts'
     out = {}
     for c in _EXHAUSTIVE_CLAIMS:
         if connected or c not in _CONNECTED_ONLY:
@@ -509,11 +538,12 @@ def _violated_claims(solved: _Solved, g: Graph, cert: tuple) -> dict[str, dict]:
 _NMAX_LIMIT = 7
 
 
-def _order_rows(n: int) -> list[ClaimResult]:
+def _order_rows(n: int, classes: dict | None = None) -> list[ClaimResult]:
     """The exhaustive rows of order n, each class of ``graph_classes``
     evaluated once: per claim, a summary row, then the relabelings of its
-    violating classes in code order, each with its class's computed fields."""
-    solved = _Solved()
+    violating classes in code order, each with its class's computed fields.
+    ``classes`` holds the numbers of the connected classes of lower orders."""
+    solved = _Solved(classes)
     pairs = list(combinations(range(n), 2))
     violated = []
     for cert, g in graph_classes(n):
@@ -537,16 +567,20 @@ def _order_rows(n: int) -> list[ClaimResult]:
             c, f"all-labeled(n={n})", relation, expected, summary, verdict, hard
         ))
         for code in sorted(found):
-            inst = f"edges:n={n};" + ",".join(words[i] for i in iter_vertices(code))
+            # the bits of code from bit 0 up
+            edges = [word for word, bit in zip(words, bin(code)[:1:-1]) if bit == "1"]
+            inst = f"edges:n={n};" + ",".join(edges)
             out.append(ClaimResult(c, inst, relation, expected, found[code], "violated", hard))
     return out
 
 
 def exhaustive_small_graphs(n_max: int = 6) -> list[ClaimResult]:
     """Run the exhaustive checks over every labeled graph on 1..n_max
-    vertices, order by order.  A class whose report runs out of budget
-    leaves every summary open, so ``BudgetExceeded`` stops the suite."""
-    return [row for n in range(1, n_max + 1) for row in _order_rows(n)]
+    vertices, order by order, each union reading its parts from the lower
+    orders.  A class whose report runs out of budget leaves every summary
+    open, so ``BudgetExceeded`` stops the suite."""
+    classes = {}
+    return [row for n in range(1, n_max + 1) for row in _order_rows(n, classes)]
 
 
 # suite name -> its rows for a largest order ``nmax``, in run order

@@ -22,6 +22,17 @@ def graphs(draw, min_n=1, max_n=8):
 
 
 @st.composite
+def connected_graphs(draw, min_n=1, max_n=8):
+    """A connected graph: each vertex after 0 joins an earlier one, plus
+    any further edges."""
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    tree = [(draw(st.integers(min_value=0, max_value=v - 1)), v) for v in range(1, n)]
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    picked = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return new_graph(n, tree + [p for p, keep in zip(pairs, picked) if keep])
+
+
+@st.composite
 def graphs_with_sets(draw, min_n=1, max_n=8):
     g = draw(graphs(min_n=min_n, max_n=max_n))
     mask = draw(st.integers(min_value=0, max_value=g.full_mask))

@@ -22,6 +22,7 @@ import zeroforcing.verify as verify
 from zeroforcing.families import cartesian, complete, complete_multipartite, cycle, star
 from zeroforcing.graphs import (
     are_isomorphic,
+    canonical_graph,
     certificate,
     components,
     induced_subgraph,
@@ -161,6 +162,24 @@ def test_certificate_of_components_in_place_matches_the_definition():
         assert cert == certificate_by_definition(g), g.edges()
         assert certificate(shuffled(rnd, g)) == cert, g.edges()
     assert isolated
+
+
+def test_canonical_graph_writes_its_certificate():
+    """A connected certificate rebuilds a graph of its class, the same graph
+    from a seeded relabeling: every connected class to order 7 and 100 seeded
+    connected graphs of order 8 to 12, each relabeled."""
+    rnd = random.Random(35)
+    graphs = [g for n in range(1, 8) for _, g in verify._connected_classes(n)]
+    assert len(graphs) == 996
+    while len(graphs) < 996 + 100:
+        g = random_graph(rnd, rnd.randint(8, 12))
+        if is_connected(g):
+            graphs.append(g)
+    for g in graphs:
+        cert = certificate(g)
+        h = canonical_graph(cert)
+        assert certificate(h) == cert, g.edges()
+        assert canonical_graph(certificate(shuffled(rnd, g))) == h, g.edges()
 
 
 def brute_isomorphic(g, h):

@@ -1,7 +1,12 @@
-import pytest
+import random
 
+import pytest
+from conftest import connected_graphs
+from hypothesis import given
+from hypothesis import strategies as st
 from writers import graph_to_instance
-from zeroforcing.graphs import GraphError, new_graph
+from zeroforcing.graphs import GraphError, certificate, is_connected, new_graph, relabel
+from zeroforcing.solver import DEFAULT_BUDGET, solve_report
 from zeroforcing.verify import (
     ClaimResult,
     check_named_parameters,
@@ -133,11 +138,18 @@ def test_replay_of_an_unknown_claim_is_a_graph_error():
 
 
 def test_summary_replay_solves_only_its_own_order(monkeypatch):
+    """An order-5 summary replays from one report per connected class of
+    order 5, in class order, then one per part its unions use, each once."""
     row = next(r for r in exhaustive_small_graphs(5) if r.instance == "all-labeled(n=5)")
     calls = count_solves(monkeypatch)
     assert replay_claim(row) == row
-    assert calls == [(g, "report") for _, g in graph_classes(5)]
-    assert len(calls) == 34
+    connected = [g for _, g in graph_classes(5) if is_connected(g)]
+    parts = {part for cert, g in graph_classes(5) if not is_connected(g) for part in cert}
+    assert calls[: len(connected)] == [(g, "report") for g in connected]
+    rest = calls[len(connected) :]
+    assert {key for _, key in rest} == {"report"}
+    assert sorted(certificate(g) for g, _ in rest) == sorted(parts)
+    assert (len(connected), len(parts), len(calls)) == (21, 10, 31)
 
 
 def test_exhaustive_verdicts_relabeling_invariant():
@@ -235,12 +247,14 @@ def test_each_graph_parameter_is_solved_once_per_suite_call(monkeypatch):
         calls.clear()
         suite()
         assert calls and len(set(calls)) == len(calls), suite.__name__
-    # the exhaustive suite asks for one report per class representative, in
-    # class order, and nothing else: its finding rows carry their class's
-    # computed fields
+    # the exhaustive suite asks for one report per connected class, in class
+    # order, and nothing else: a union's numbers come from its parts, which
+    # are connected classes of lower orders, and its finding rows carry their
+    # class's computed fields
     calls.clear()
     rows = exhaustive_small_graphs(5)
-    classes = [g for n in range(1, 6) for _, g in graph_classes(n)]
+    classes = [g for n in range(1, 6) for _, g in graph_classes(n) if is_connected(g)]
+    assert len(classes) == 31
     assert calls == [(g, "report") for g in classes]
     assert any(not r.instance.startswith("all-labeled") for r in rows)
 
@@ -384,9 +398,61 @@ def test_report_keeps_the_values_read_before_it(monkeypatch):
     assert shape[0].accepted and lookups == [g]
     assert solved.value(g, "pt_c") == 1 and calls == [(g, "report")]
     assert solved.value(g, "shape") is shape and lookups == [g]
-    solved.solve(g, certificate=("cert",))
+    solved.solve_class(g, certificate(g))
     assert solved.value(g, "shape") is shape and lookups == [g]
-    assert solved.value(g, "certificate") == ("cert",)
+    assert solved.value(g, "certificate") == certificate(g)
+
+
+def report_numbers(g):
+    rep = solve_report(g, DEFAULT_BUDGET)
+    return {"z": rep.z, "z_c": rep.z_c, "pt_c": rep.ptc_min, "PT_c": rep.ptc_max}
+
+
+def class_numbers(solved, g, cert):
+    solved.solve_class(g, cert)
+    return {key: solved.value(g, key) for key in ("z", "z_c", "pt_c", "PT_c")}
+
+
+def test_union_rule_matches_a_report_of_every_disconnected_class(monkeypatch):
+    """For every disconnected class of order at most 7, the numbers read off
+    its parts equal a solve report of its representative, and the table
+    solves parts only: each connected class once, never a union."""
+    import zeroforcing.verify as verify
+
+    calls = count_solves(monkeypatch)
+    solved = verify._Solved()
+    unions = [(cert, g) for n in range(2, 8) for cert, g in graph_classes(n) if not is_connected(g)]
+    assert len(unions) == 256
+    for cert, g in unions:
+        assert class_numbers(solved, g, cert) == report_numbers(g), cert
+    assert all(is_connected(h) and key == "report" for h, key in calls)
+    assert len({certificate(h) for h, _ in calls}) == len(calls)
+
+
+@st.composite
+def relabeled_unions(draw, max_n=10):
+    """A disjoint union of 2-3 connected graphs of total order at most
+    ``max_n``, relabeled by a permutation from a drawn seed."""
+    count = draw(st.integers(min_value=2, max_value=3))
+    parts, order = [], 0
+    for i in range(count):
+        part = draw(connected_graphs(max_n=max_n - order - (count - 1 - i)))
+        parts.append([(u + order, v + order) for u, v in part.edges()])
+        order += part.n
+    perm = list(range(order))
+    random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1))).shuffle(perm)
+    return relabel(new_graph(order, [e for edges in parts for e in edges]), perm)
+
+
+@given(relabeled_unions())
+def test_union_rule_matches_a_report_of_a_relabeled_union(g):
+    """The parts are solved from graphs built off their certificates, so
+    this also checks that a certificate rebuilds its component."""
+    import zeroforcing.verify as verify
+
+    cert = certificate(g)
+    assert not is_connected(g) and len(cert) >= 2
+    assert class_numbers(verify._Solved(), g, cert) == report_numbers(g)
 
 
 def test_exceeded_row_carries_the_meters_bound(monkeypatch):
